@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     config.takedown = std::nullopt;
     config.attacks_per_day = 150.0;
     config.honeypots_per_vector = fleet;
-    const auto result = sim::run_landscape_parallel(internet, config, pool);
+    const auto result = sim::run_landscape(internet, config, pool);
 
     const auto attacks = core::group_observations(result.honeypot_log);
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     config.takedown = util::Timestamp::parse("2018-12-19").value();
     config.attacks_per_day = 150.0;
     config.demand_migration = world.migration;
-    const auto result = sim::run_landscape_parallel(internet, config, pool);
+    const auto result = sim::run_landscape(internet, config, pool);
 
     const auto victim_metrics = core::takedown_metrics(
         core::daily_packets_from_reflectors(result.ixp.store.flows(), {},

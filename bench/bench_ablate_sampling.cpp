@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     config.ixp_window.reset();
     config.attacks_per_day = 150.0;
     config.ixp_sampling = sampling;
-    const auto result = sim::run_landscape_parallel(internet, config, pool);
+    const auto result = sim::run_landscape(internet, config, pool);
 
     core::VictimAggregator aggregator;
     for (const auto& f : result.ixp.store.flows()) aggregator.add(f);

@@ -3,10 +3,9 @@
 // and the control: victim-bound reflection traffic shows NO significant
 // reduction.
 //
-// Two engines produce the figure (pick with --stream): the materialized
-// LandscapeWorld scans the merged FlowStores per panel, the streaming
-// StreamWorld builds every panel series in one bounded-memory pass
-// (core::StreamAnalysis). Both print byte-identical stdout — CI diffs them.
+// StreamWorld builds every panel series in one bounded-memory pass of the
+// landscape engine (core::StreamAnalysis); stdout is byte-identical at any
+// --threads and --stream-batch, which CI diffs.
 #include <array>
 #include <iostream>
 #include <span>
@@ -69,9 +68,7 @@ constexpr PanelDef kPanels[] = {
 };
 constexpr std::size_t kPanelCount = std::size(kPanels);
 
-/// Prints the whole figure from the finished (coverage-stamped) series —
-/// the engine-independent half, so materialized and streaming runs share
-/// one formatter and cannot drift apart.
+/// Prints the whole figure from the finished (coverage-stamped) series.
 void print_figure(std::span<const stats::BinnedSeries> panel_daily,
                   const stats::BinnedSeries& victim_daily,
                   util::Timestamp takedown) {
@@ -108,36 +105,7 @@ void print_figure(std::span<const stats::BinnedSeries> panel_daily,
   });
 }
 
-int run_materialized(const bench::RunOptions& options) {
-  bench::LandscapeWorld world(options);
-  const auto& cfg = world.result.config;
-  const util::Timestamp takedown = *cfg.takedown;
-  const flow::FlowList* vantage_flows[] = {&world.result.ixp.store.flows(),
-                                           &world.result.tier1.store.flows(),
-                                           &world.result.tier2.store.flows()};
-
-  // Gap-aware builds: under a fault profile the series carries the fault
-  // plan's per-day coverage, so outage days are excluded from the wtN/redN
-  // windows instead of read as traffic drops.
-  std::vector<stats::BinnedSeries> panel_daily;
-  panel_daily.reserve(kPanelCount);
-  for (const PanelDef& panel : kPanels) {
-    auto daily = core::daily_packets_to_port(*vantage_flows[panel.vantage],
-                                             panel.port, cfg.start, cfg.days,
-                                             &world.pool);
-    world.stamp_coverage(daily, panel.vantage);
-    panel_daily.push_back(std::move(daily));
-  }
-  auto victim_daily = core::daily_packets_from_reflectors(
-      world.result.ixp.store.flows(), {}, cfg.start, cfg.days, &world.pool);
-  world.stamp_coverage(victim_daily, flow::kVantageIxp);
-
-  print_figure(panel_daily, victim_daily, takedown);
-  world.write_observability("fig4");
-  return 0;
-}
-
-int run_streaming(const bench::RunOptions& options) {
+int run(const bench::RunOptions& options) {
   bench::StreamWorld world(options);
   const util::Timestamp takedown = *world.config.takedown;
 
@@ -185,6 +153,5 @@ int run_streaming(const bench::RunOptions& options) {
 int main(int argc, char** argv) {
   bench::print_header("Figure 4",
                       "Traffic to reflectors before/after the takedown");
-  const bench::RunOptions options = bench::parse_run_options(argc, argv);
-  return options.stream ? run_streaming(options) : run_materialized(options);
+  return run(bench::parse_run_options(argc, argv));
 }

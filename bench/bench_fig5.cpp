@@ -1,11 +1,10 @@
 // Fig. 5: systems under NTP DDoS attack per hour (conservative filter) —
 // no significant reduction after the takedown.
 //
-// Like Fig. 4, the figure has two engines (pick with --stream): the
-// materialized path aggregates per-hour victims over the merged IXP store,
-// the streaming path maintains the hourly aggregators in-pass, finalizing
-// and freeing each hour at day barriers (core::StreamAnalysis). stdout is
-// byte-identical between the two.
+// The hourly aggregators are maintained in one pass of the landscape
+// engine, finalizing and freeing each hour at day barriers
+// (core::StreamAnalysis); stdout is byte-identical at any --threads and
+// --stream-batch.
 #include <algorithm>
 #include <iostream>
 
@@ -19,8 +18,7 @@ using namespace booterscope;
 
 namespace {
 
-/// Prints the whole figure from the finished hourly series — shared by
-/// both engines so they cannot drift apart.
+/// Prints the whole figure from the finished hourly series.
 void print_figure(const stats::BinnedSeries& hourly,
                   util::Timestamp takedown) {
   const auto daily = hourly.rebin(util::Duration::days(1));
@@ -69,17 +67,7 @@ void print_figure(const stats::BinnedSeries& hourly,
   });
 }
 
-int run_materialized(const bench::RunOptions& options) {
-  bench::LandscapeWorld world(options);
-  const auto& cfg = world.result.config;
-  const auto hourly = core::hourly_attacked_systems(
-      world.result.ixp.store.flows(), {}, cfg.start, cfg.days, &world.pool);
-  print_figure(hourly, *cfg.takedown);
-  world.write_observability("fig5");
-  return 0;
-}
-
-int run_streaming(const bench::RunOptions& options) {
+int run(const bench::RunOptions& options) {
   bench::StreamWorld world(options);
   core::StreamAnalysis analysis(world.config.start, world.config.days, {});
   analysis.enable_hourly_victims(flow::kVantageIxp, {});
@@ -98,6 +86,5 @@ int run_streaming(const bench::RunOptions& options) {
 
 int main(int argc, char** argv) {
   bench::print_header("Figure 5", "Systems under NTP DDoS attack per hour");
-  const bench::RunOptions options = bench::parse_run_options(argc, argv);
-  return options.stream ? run_streaming(options) : run_materialized(options);
+  return run(bench::parse_run_options(argc, argv));
 }

@@ -13,7 +13,7 @@
 #include "stats/welch.hpp"
 #include "topo/routing.hpp"
 #include "sim/internet.hpp"
-#include "sim/landscape_parallel.hpp"
+#include "sim/landscape.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "exec/thread_pool.hpp"
@@ -219,7 +219,7 @@ void BM_ParallelLandscape(benchmark::State& state) {
   config.tier2_window.reset();
   exec::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto result = sim::run_landscape_parallel(internet, config, pool);
+    const auto result = sim::run_landscape(internet, config, pool);
     benchmark::DoNotOptimize(result.ixp.store.flows().size());
   }
   state.SetItemsProcessed(state.iterations() * config.days);

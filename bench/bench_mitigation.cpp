@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   {
     auto config = base_config();
     config.takedown = event;
-    const auto result = sim::run_landscape_parallel(internet, config, pool);
+    const auto result = sim::run_landscape(internet, config, pool);
     rows.push_back({"domain takedown (15 of 30 booters)",
                     fmt(victim_metrics(result)),
                     "demand migrates within days (§5)"});
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     auto config = base_config();
     config.remediation_start = event;
     config.remediation_per_day = per_day;
-    const auto result = sim::run_landscape_parallel(internet, config, pool);
+    const auto result = sim::run_landscape(internet, config, pool);
     rows.push_back(
         {"reflector remediation, " +
              util::format_double(per_day * 100.0, 0) + "%/day",
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // 3. IXP blackholing on the unmitigated world.
   {
-    const auto result = sim::run_landscape_parallel(internet, base_config(), pool);
+    const auto result = sim::run_landscape(internet, base_config(), pool);
     core::BlackholePolicy policy;
     policy.trigger_gbps = 5.0;
     const auto entries =

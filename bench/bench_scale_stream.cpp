@@ -1,6 +1,6 @@
-// Scale probe of the streaming one-pass engine (DESIGN.md §14): runs the
-// landscape at an attack demand an order of magnitude above the
-// materialized default, builds the Fig. 4 headline series in one bounded-
+// Scale probe of the landscape engine (DESIGN.md §9, §14): runs the
+// landscape at an attack demand an order of magnitude above the paper
+// config's default, builds the Fig. 4 headline series in one bounded-
 // memory pass, and self-checks the online Welford verdict path
 // (core::TakedownAccumulator) against the series-based takedown_metrics —
 // the two must agree to the bit, or the bench fails.
@@ -49,10 +49,9 @@ int main(int argc, char** argv) {
                       "Streaming engine at 10x attack demand, flat RSS");
 
   bench::RunOptions options = bench::parse_run_options(argc, argv);
-  // This bench exists to exercise the streaming engine at scale, so the
-  // defaults differ from the figure benches: --stream is implied and the
-  // window is 40 days at 10x the paper config's attack demand.
-  options.stream = true;
+  // This bench exists to exercise the engine at scale, so the defaults
+  // differ from the figure benches: the window is 40 days at 10x the paper
+  // config's attack demand.
   if (options.days == 0) options.days = 40;
   if (options.attacks_per_day <= 0.0) options.attacks_per_day = 3000.0;
 

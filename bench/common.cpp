@@ -23,7 +23,7 @@ RunOptions parse_run_options(int argc, char** argv) {
                  " [--seed N] [--fault-profile none|light|heavy]"
                  " [--fault-seed N] [--timeline] [--prof]"
                  " [--sample-interval-ms N] [--serve PORT]"
-                 " [--serve-hold-ms N] [--stream] [--stream-batch N]\n";
+                 " [--serve-hold-ms N] [--stream-batch N]\n";
     std::exit(2);
   };
   for (int i = 1; i < argc; ++i) {
@@ -34,10 +34,6 @@ RunOptions parse_run_options(int argc, char** argv) {
     }
     if (flag == "--prof") {  // boolean flag, no value
       options.prof = true;
-      continue;
-    }
-    if (flag == "--stream") {  // boolean flag, no value
-      options.stream = true;
       continue;
     }
     if (i + 1 >= argc) usage("missing value for " + flag);
@@ -266,7 +262,7 @@ sim::LandscapeResult LandscapeWorld::run_timed(LandscapeWorld& world,
   engage_live_plane(world, options);
 
   const std::int64_t t0 = util::monotonic_nanos();
-  sim::LandscapeResult result = sim::run_landscape_parallel(
+  sim::LandscapeResult result = sim::run_landscape(
       world.internet, apply_run_options(sim::paper_landscape_config(), options),
       world.pool, &world.tracer);
   world.run_wall_nanos =
@@ -289,7 +285,7 @@ StreamWorld::StreamWorld(const RunOptions& options)
 
   // The fault plan is a pure function of its seed, profile and window, so
   // building it before the run (the sink needs it in-stream) yields the
-  // exact plan the materialized engine builds afterwards.
+  // exact plan LandscapeWorld builds after its run.
   fault_profile_name = options.fault_profile;
   fault_seed = options.fault_seed;
   const std::optional<fault::FaultProfile> profile =
@@ -302,12 +298,12 @@ StreamWorld::StreamWorld(const RunOptions& options)
 
 StreamWorld::~StreamWorld() { shutdown_live_plane(*this); }
 
-void StreamWorld::run(flow::FlowBatchSink& sink, sim::GroundTruthSink* truth) {
+void StreamWorld::run(flow::FlowBatchSink& sink) {
   sim::StreamOptions stream_options;
   stream_options.batch_flows = stream_batch;
   const std::int64_t t0 = util::monotonic_nanos();
   summary = sim::run_landscape_stream(internet, config, pool, sink,
-                                      stream_options, &tracer, truth);
+                                      stream_options, &tracer);
   run_wall_nanos =
       static_cast<std::uint64_t>(util::monotonic_nanos() - t0);
   finish_live_plane(*this);
@@ -320,8 +316,7 @@ void StreamWorld::write_observability(const std::string& experiment_id,
   bench::write_perf_ledger(experiment_id, config, &tracer, &pool,
                            run_wall_nanos, items, fault_profile_name,
                            fault_seed, sampler.get(), profiler.get(),
-                           {{"stream", "true"},
-                            {"stream_batch", std::to_string(stream_batch)}});
+                           {{"stream_batch", std::to_string(stream_batch)}});
   bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
                               server.get());
   // Fold the live series into the trace as counter tracks before it is

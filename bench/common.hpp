@@ -28,7 +28,6 @@
 #include "sim/booter.hpp"
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
-#include "sim/landscape_parallel.hpp"
 #include "sim/landscape_stream.hpp"
 #include "sim/selfattack.hpp"
 #include "util/table.hpp"
@@ -40,7 +39,7 @@ namespace booterscope::bench {
 void print_header(const std::string& experiment_id, const std::string& title);
 
 /// Command-line options shared by the bench binaries:
-///   --threads N          worker threads for the parallel drivers (default 1)
+///   --threads N          worker threads of the landscape engine (default 1)
 ///   --days N             shrink the landscape window to N days (CI smoke)
 ///   --attacks-per-day X  override attack demand (CI smoke)
 ///   --seed N             override the master seed
@@ -66,11 +65,9 @@ void print_header(const std::string& experiment_id, const std::string& title);
 ///   --serve-hold-ms N    keep the process (and the scrape endpoint) alive
 ///                        N ms after the outputs are written, so an external
 ///                        scraper reliably catches the run (CI smoke)
-///   --stream             run the streaming one-pass engine (DESIGN.md §14)
-///                        instead of materializing the run: peak RSS stays
-///                        flat in run length, output bytes are identical
-///   --stream-batch N     rows per columnar batch in --stream mode
-///                        (default 8192; any value produces the same bytes)
+///   --stream-batch N     rows per columnar batch the engine drains into
+///                        the analysis (default 8192; any value produces
+///                        the same bytes)
 /// Defaults reproduce the paper figures; any --threads value produces the
 /// same bytes (DESIGN.md §9), so the flags only trade wall-clock and scale.
 /// Faulted runs are equally deterministic: the fault schedule is a pure
@@ -91,7 +88,6 @@ struct RunOptions {
   int sample_interval_ms = 25;   // 0 = sampler off
   int serve_port = -1;           // -1 = no scrape endpoint, 0 = ephemeral
   int serve_hold_ms = 0;         // post-run scrape window
-  bool stream = false;           // streaming one-pass engine
   std::size_t stream_batch = 0;  // 0 = FlowBatch::kDefaultCapacity
 };
 
@@ -164,11 +160,11 @@ void write_observability(const std::string& experiment_id,
 /// No-op under BOOTERSCOPE_NO_METRICS (so a metrics-free build never
 /// emits half-empty ledgers that would trip the differ).
 /// `extra_config` appends additional identity pairs after the standard
-/// ones (the streaming harness records {"stream","true"} and its batch
-/// size; benchdiff excludes both from identity since they do not change
-/// the output bytes). A non-null `profiler` fills the schema-/3
-/// hw_counters block (per-stage counters, or the explicit prof_unavailable
-/// reason when the degradation ladder bottomed out); --prof itself is NOT
+/// ones (StreamWorld records its batch size; benchdiff excludes it from
+/// identity since it does not change the output bytes). A non-null
+/// `profiler` fills the schema-/3 hw_counters block (per-stage counters,
+/// or the explicit prof_unavailable reason when the degradation ladder
+/// bottomed out); --prof itself is NOT
 /// recorded as a config key — like --threads, it changes what is measured,
 /// not what is computed, so profiled candidates stay comparable to
 /// unprofiled baselines. The flow_micro block is harvested from the
@@ -200,8 +196,9 @@ void write_folded_profile(const std::string& experiment_id,
 void write_timeline(const std::string& experiment_id,
                     const obs::TimelineRecorder* timeline);
 
-/// The landscape world shared by the §4/§5 benches (one full 122-day run,
-/// sharded by day over the pool — byte-identical for every --threads N).
+/// The landscape world shared by the §4/§5 benches that need the flows in
+/// memory: one full 122-day run of the landscape engine, collected by
+/// sim::run_landscape (byte-identical for every --threads N).
 struct LandscapeWorld {
   sim::Internet internet;
   obs::StageTracer tracer;
@@ -297,13 +294,13 @@ struct LandscapeWorld {
                                         const RunOptions& options);
 };
 
-/// The landscape world of the streaming one-pass engine (DESIGN.md §14):
-/// the same Internet, pool and live telemetry plane as LandscapeWorld, but
-/// the run never materializes — run() drains day-ordered columnar batches
-/// into the caller's sink (typically a core::StreamAnalysis) and retains
-/// only a bounded StreamSummary, so peak RSS stays flat as --days and
-/// --attacks-per-day grow. Output bytes are identical to the materialized
-/// engine for any pool size and batch capacity.
+/// The landscape world of the one-pass benches (Fig. 4, Fig. 5, the scale
+/// probe; DESIGN.md §9): the same Internet, pool and live telemetry plane
+/// as LandscapeWorld, but the run never materializes — run() drains
+/// day-ordered columnar batches into the caller's sink (typically a
+/// core::StreamAnalysis) and retains only a bounded StreamSummary, so peak
+/// RSS stays flat as --days and --attacks-per-day grow. Output bytes are
+/// identical for any pool size and batch capacity.
 struct StreamWorld {
   sim::Internet internet;
   obs::StageTracer tracer;
@@ -327,7 +324,7 @@ struct StreamWorld {
   std::string fault_profile_name = "none";
   std::uint64_t fault_seed = 0;
   /// Built before the run (a pure function of --fault-seed/--fault-profile
-  /// and the window, so identical to the materialized plan). The analysis
+  /// and the window, so identical to LandscapeWorld's plan). The analysis
   /// sink applies it in-stream: wire it via StreamAnalysis::set_fault_plan
   /// together with `integrity` before calling run().
   std::optional<fault::FaultPlan> fault_plan;
@@ -344,15 +341,15 @@ struct StreamWorld {
 
   /// Runs the streaming landscape into `sink`, timing it for the ledger
   /// and closing out the live plane.
-  void run(flow::FlowBatchSink& sink, sim::GroundTruthSink* truth = nullptr);
+  void run(flow::FlowBatchSink& sink);
 
   void stamp_coverage(stats::BinnedSeries& daily, std::size_t vantage) const {
     if (fault_plan) fault_plan->apply_coverage(daily, vantage);
   }
 
-  /// Attacks plus kept (post-outage) flows: equals the materialized
-  /// LandscapeWorld::result_items() when `kept_flows` comes from the
-  /// analysis sink — the exact-match gate that proves the engines agree.
+  /// Attacks plus kept (post-outage) flows: equals
+  /// LandscapeWorld::result_items() on the same options when `kept_flows`
+  /// comes from the analysis sink — the ledger's exact-match `items`.
   [[nodiscard]] std::uint64_t result_items(
       std::uint64_t kept_flows) const noexcept {
     return summary.attack_count + kept_flows;

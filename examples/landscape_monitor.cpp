@@ -21,6 +21,7 @@
 
 #include "core/pktsize.hpp"
 #include "core/victims.hpp"
+#include "exec/thread_pool.hpp"
 #include "flow/sampler.hpp"
 #include "obs/exposition.hpp"
 #include "obs/live/resource_sampler.hpp"
@@ -55,9 +56,9 @@ int main(int argc, char** argv) {
   obs::StageTracer tracer;
 
   // Live telemetry plane: sampler + watchdog always on (they are cheap
-  // observers), the scrape endpoint only with --serve. The monitor is
-  // serial, so there is no pool to probe; the watchdog simply stays
-  // healthy unless a heartbeat is registered and goes quiet.
+  // observers), the scrape endpoint only with --serve. The monitor runs
+  // the engine on a pool of one and probes nothing; the watchdog simply
+  // stays healthy unless a heartbeat is registered and goes quiet.
   obs::live::Watchdog watchdog(obs::live::Watchdog::Config{}, &obs::metrics());
   obs::live::ResourceSampler sampler(obs::live::ResourceSampler::Config{},
                                      &obs::metrics(),
@@ -83,7 +84,8 @@ int main(int argc, char** argv) {
   config.days = days;
   config.takedown = std::nullopt;
   config.attacks_per_day = 150.0;
-  const auto landscape = sim::run_landscape(internet, config, &tracer);
+  exec::ThreadPool pool(1);
+  const auto landscape = sim::run_landscape(internet, config, pool, &tracer);
   std::cout << "Simulated " << days << " days: "
             << util::format_count(static_cast<double>(landscape.ixp.store.size()))
             << " sampled IXP flow records, " << landscape.attacks.size()

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "core/takedown.hpp"
+#include "exec/thread_pool.hpp"
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
 #include "util/table.hpp"
@@ -38,6 +39,7 @@ int main() {
 
   util::Table table({"scenario", "to-reflector NTP", "victim traffic",
                      "attacks/day after vs before"});
+  exec::ThreadPool pool(0);  // all cores; the output is pool-size invariant
   for (const Scenario& scenario : scenarios) {
     sim::LandscapeConfig config;
     config.start = util::Timestamp::parse("2018-10-15").value();
@@ -46,7 +48,7 @@ int main() {
     config.attacks_per_day = 200.0;
     config.extra_booters = scenario.extra_booters;
     config.extra_seized = scenario.extra_seized;
-    const auto result = sim::run_landscape(internet, config);
+    const auto result = sim::run_landscape(internet, config, pool);
 
     const auto reflector_metrics = core::takedown_metrics(
         core::daily_packets_to_port(result.ixp.store.flows(), net::ports::kNtp,

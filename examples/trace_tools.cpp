@@ -16,6 +16,7 @@
 #include <map>
 
 #include "core/victims.hpp"
+#include "exec/thread_pool.hpp"
 #include "flow/anonymize.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/store.hpp"
@@ -47,7 +48,8 @@ int cmd_gen(const util::CliArgs& args) {
   config.days = static_cast<int>(args.int_or("days", 7));
   config.takedown = std::nullopt;
   config.attacks_per_day = args.double_or("attacks-per-day", 120.0);
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(0);  // all cores; the output is pool-size invariant
+  const auto result = sim::run_landscape(internet, config, pool);
   const std::string vantage = args.value_or("vantage", "ixp");
   const flow::FlowStore* store = &result.ixp.store;
   if (vantage == "tier1") store = &result.tier1.store;

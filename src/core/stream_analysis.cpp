@@ -102,8 +102,9 @@ void StreamAnalysis::consume(std::size_t vantage,
 void StreamAnalysis::day_complete(int /*day*/, util::Timestamp day_start) {
   const util::ConcurrencyGuard::Scope scope(guard_,
                                             "StreamAnalysis::day_complete");
-  // Shard d only emits flows with first >= day_d (landscape_shard.hpp), so
-  // every hour strictly before this barrier has seen its last row.
+  // Shard d only emits flows with first >= day_d (run_day_shard in
+  // sim/landscape_stream.cpp), so every hour strictly before this barrier
+  // has seen its last row.
   finalize_hours_before(day_start);
 }
 

@@ -67,7 +67,6 @@ CollectingSink::CollectingSink(std::size_t vantages) : flows_(vantages) {}
 void CollectingSink::consume(std::size_t vantage, const FlowBatchView& batch) {
   if (vantage >= flows_.size()) flows_.resize(vantage + 1);
   FlowList& out = flows_[vantage];
-  out.reserve(out.size() + batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) out.push_back(batch.record(i));
 }
 

@@ -128,8 +128,10 @@ inline constexpr std::size_t kVantageTier1 = 1;
 inline constexpr std::size_t kVantageTier2 = 2;
 inline constexpr std::size_t kVantageCount = 3;
 
-/// Sink that materializes everything back into per-vantage FlowLists.
-/// Tests and the compatibility path use it to prove streaming == batch.
+/// Sink that materializes everything back into per-vantage FlowLists:
+/// sim::run_landscape is the streaming engine draining into one. Rows are
+/// appended with the FlowList's own geometric growth, so collecting N
+/// batches reallocates O(log N) times, not once per batch.
 class CollectingSink : public FlowBatchSink {
  public:
   explicit CollectingSink(std::size_t vantages = kVantageCount);

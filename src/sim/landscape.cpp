@@ -1,8 +1,6 @@
 #include "sim/landscape.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cmath>
 #include <unordered_map>
 
@@ -534,29 +532,6 @@ void generate_benign_traffic(Context& ctx, const ReflectorPools& pools,
 
 }  // namespace detail
 
-namespace {
-
-using net::AmpVector;
-
-/// Serial maintenance: one RNG stream threaded through every (day, booter)
-/// cell in order, reproducing the pre-refactor draw sequence exactly.
-void generate_maintenance_traffic(detail::Context& ctx,
-                                  detail::MarketRuntime& market,
-                                  std::optional<util::Timestamp> takedown,
-                                  util::Rng rng) {
-  const LandscapeConfig& cfg = *ctx.config;
-  const util::Timestamp end = cfg.start + util::Duration::days(cfg.days);
-  for (util::Timestamp day = cfg.start; day < end;
-       day += util::Duration::days(1)) {
-    for (std::size_t b = 0; b < market.services.size(); ++b) {
-      detail::generate_maintenance_booter_day(ctx, market, b, day, takedown,
-                                              rng);
-    }
-  }
-}
-
-}  // namespace
-
 LandscapeConfig paper_landscape_config() {
   LandscapeConfig config;
   config.start = util::Timestamp::parse("2018-09-30").value();
@@ -572,102 +547,6 @@ LandscapeConfig paper_landscape_config() {
       util::Timestamp::parse("2018-09-27").value(),
       util::Timestamp::parse("2019-02-03").value()};
   return config;
-}
-
-namespace {
-
-/// Flows and bytes appended to the three vantage lists by one stage.
-struct EmitDelta {
-  std::array<std::size_t, 3> offsets;
-
-  explicit EmitDelta(const detail::Context& ctx)
-      : offsets{ctx.ixp_flows.size(), ctx.tier1_flows.size(),
-                ctx.tier2_flows.size()} {}
-
-  void record(const detail::Context& ctx, obs::StageTimer& timer) const {
-    const flow::FlowList* lists[] = {&ctx.ixp_flows, &ctx.tier1_flows,
-                                     &ctx.tier2_flows};
-    std::uint64_t flows = 0;
-    std::uint64_t bytes = 0;
-    for (std::size_t v = 0; v < 3; ++v) {
-      flows += lists[v]->size() - offsets[v];
-      for (std::size_t i = offsets[v]; i < lists[v]->size(); ++i) {
-        bytes += (*lists[v])[i].bytes;
-      }
-    }
-    timer.add_items_out(flows);
-    timer.add_bytes(bytes);
-  }
-};
-
-}  // namespace
-
-LandscapeResult run_landscape(const Internet& internet,
-                              const LandscapeConfig& config,
-                              obs::StageTracer* tracer) {
-  obs::StageTimer landscape_timer(tracer, "landscape");
-  LandscapeResult result;
-  result.config = config;
-
-  util::Rng rng(config.seed);
-  detail::ReflectorPools pools = detail::build_pools(config);
-
-  util::Rng market_rng = rng.fork("market");
-  detail::MarketRuntime market =
-      detail::build_market(internet, config, pools, market_rng);
-  result.market = market.profiles;
-
-  const HoneypotDeployment honeypots =
-      config.honeypots_per_vector > 0
-          ? HoneypotDeployment(pools, config.honeypots_per_vector,
-                               config.honeypot_public_share,
-                               rng.fork("honeypots"))
-          : HoneypotDeployment();
-
-  const util::Timestamp end = config.start + util::Duration::days(config.days);
-  detail::Context ctx(internet, config, rng.fork("context"));
-  {
-    obs::StageTimer timer(tracer, "attack_traffic");
-    const EmitDelta delta(ctx);
-    detail::generate_attack_traffic(ctx, market, pools, honeypots,
-                                    config.start, end, end,
-                                    ctx.rng.fork("attacks"), result.attacks,
-                                    result.honeypot_log);
-    timer.add_items_in(result.attacks.size());
-    delta.record(ctx, timer);
-  }
-  {
-    obs::StageTimer timer(tracer, "maintenance_traffic");
-    const EmitDelta delta(ctx);
-    generate_maintenance_traffic(ctx, market, config.takedown,
-                                 ctx.rng.fork("maintenance"));
-    delta.record(ctx, timer);
-  }
-  {
-    obs::StageTimer timer(tracer, "benign_traffic");
-    const EmitDelta delta(ctx);
-    detail::generate_benign_traffic(ctx, pools, config.start, end,
-                                    ctx.rng.fork("benign"));
-    delta.record(ctx, timer);
-  }
-  obs::metrics()
-      .counter("booterscope_landscape_attacks_total")
-      .add(result.attacks.size());
-
-  {
-    obs::StageTimer timer(tracer, "store_build");
-    timer.add_items_in(ctx.ixp_flows.size() + ctx.tier1_flows.size() +
-                       ctx.tier2_flows.size());
-    result.ixp.store = flow::FlowStore{std::move(ctx.ixp_flows)};
-    result.ixp.sampling_rate = config.ixp_sampling;
-    result.tier1.store = flow::FlowStore{std::move(ctx.tier1_flows)};
-    result.tier1.sampling_rate = config.tier1_sampling;
-    result.tier2.store = flow::FlowStore{std::move(ctx.tier2_flows)};
-    result.tier2.sampling_rate = config.tier2_sampling;
-    timer.add_items_out(result.ixp.store.size() + result.tier1.store.size() +
-                        result.tier2.store.size());
-  }
-  return result;
 }
 
 }  // namespace booterscope::sim

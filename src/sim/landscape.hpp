@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "flow/store.hpp"
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
@@ -180,12 +181,16 @@ struct LandscapeResult {
   std::vector<HoneypotObservation> honeypot_log;
 };
 
-/// Runs the full simulation. Deterministic for a given config. When a
-/// `tracer` is passed, the generation stages (attack / maintenance / benign
-/// traffic, store build) are timed into it with item and byte counts;
-/// per-vantage emit/drop counters always go to the global obs registry.
+/// Runs the full simulation and materializes it: run_landscape_stream
+/// (sim/landscape_stream.hpp) over `pool`, drained into a
+/// flow::CollectingSink. Deterministic for a given config, and
+/// byte-identical for every pool size — a serial run is a pool of 1. When a
+/// `tracer` is passed, the engine's stages (day shards, drain) are timed
+/// into it; per-vantage emit/drop counters always go to the global obs
+/// registry.
 [[nodiscard]] LandscapeResult run_landscape(const Internet& internet,
                                             const LandscapeConfig& config,
+                                            exec::ThreadPool& pool,
                                             obs::StageTracer* tracer = nullptr);
 
 /// Config with the paper's study window (Sep 30 2018 - Jan 30 2019,

@@ -1,13 +1,11 @@
-// Internal machinery shared by the serial (landscape.cpp) and sharded
-// parallel (landscape_parallel.cpp) landscape drivers. Not part of the
-// public surface: include only from sim/*.cpp.
+// Internal generation machinery of the landscape engine: defined in
+// landscape.cpp, driven per day shard by landscape_stream.cpp. Not part of
+// the public surface: include only from sim/*.cpp.
 //
 // The generation primitives are parameterized by a [from, to) time range
-// and an explicit Rng so that
-//   - the serial driver calls them once over the whole study window with
-//     fork()-derived streams (bit-identical to the pre-refactor code), and
-//   - the parallel driver calls them per day-shard with counter-based
-//     Rng::split streams, making the output independent of thread count.
+// and an explicit Rng; the engine calls them per day shard with
+// counter-based Rng::split streams, making the output independent of
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +38,7 @@ struct PathView {
 };
 
 /// Caches vantage visibility per (src, dst) AS pair. Each generation
-/// context owns one; in the parallel driver every shard keeps its own, so
+/// context owns one; every day shard keeps its own, so
 /// the cache is never shared across threads.
 class PathClassifier {
  public:
@@ -74,8 +72,7 @@ struct VantageMetrics {
 };
 
 /// Mutable generation context: flow sinks, path cache and the sampling RNG.
-/// The serial driver owns one for the whole run; the parallel driver owns
-/// one per day shard (with a split()-derived rng).
+/// The engine owns one per day shard (with a split()-derived rng).
 struct Context {
   const Internet* internet;
   const LandscapeConfig* config;
@@ -123,7 +120,7 @@ using ReflectorPools = std::unordered_map<net::AmpVector, ReflectorPool>;
 
 /// Builds the booter market (profiles, live services, backend hosts) from
 /// `market_rng`. Deterministic: every caller that feeds an identically
-/// seeded rng gets an identical market, which is how the parallel driver
+/// seeded rng gets an identical market, which is how the engine
 /// replicates per-shard market state.
 [[nodiscard]] MarketRuntime build_market(const Internet& internet,
                                          const LandscapeConfig& config,
@@ -139,8 +136,7 @@ using ReflectorPools = std::unordered_map<net::AmpVector, ReflectorPool>;
 
 /// Attack + trigger traffic for launches in [from, to). `horizon` caps the
 /// per-minute emission loop (attacks running past the study window stop
-/// there). The serial driver passes the whole window; the parallel driver
-/// passes one day and a split("attacks", day) stream.
+/// there). The engine passes one day and a split("attacks", day) stream.
 void generate_attack_traffic(Context& ctx, MarketRuntime& market,
                              const ReflectorPools& pools,
                              const HoneypotDeployment& honeypots,
@@ -150,10 +146,7 @@ void generate_attack_traffic(Context& ctx, MarketRuntime& market,
                              std::vector<HoneypotObservation>& honeypot_log);
 
 /// Reflector-maintenance traffic of one (booter, day) cell — the unit the
-/// parallel driver assigns its per-(day, booter) RNG streams to. `rng` is
-/// taken by reference: the serial wrapper threads one stream through all
-/// cells in (day, booter) order, which reproduces the pre-refactor draw
-/// sequence exactly.
+/// engine assigns its per-(day, booter) RNG streams to.
 void generate_maintenance_booter_day(Context& ctx, MarketRuntime& market,
                                      std::size_t booter_index,
                                      util::Timestamp day,

@@ -1,14 +1,124 @@
 #include "sim/landscape_stream.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
-#include "sim/landscape_shard.hpp"
+#include "sim/landscape_detail.hpp"
 #include "util/time.hpp"
 
 namespace booterscope::sim {
+
+namespace detail {
+namespace {
+
+/// Read-only state shared by every shard of a run: reflector pools, the
+/// booter market profiles (for the result), and the honeypot deployment.
+struct SharedShardState {
+  ReflectorPools pools;
+  std::vector<BooterProfile> market_profiles;
+  HoneypotDeployment honeypots;
+};
+
+SharedShardState build_shared_state(const Internet& internet,
+                                    const LandscapeConfig& config) {
+  SharedShardState state;
+  state.pools = build_pools(config);
+  {
+    util::Rng rng(config.seed);
+    util::Rng market_rng = rng.fork("market");
+    const MarketRuntime market =
+        build_market(internet, config, state.pools, market_rng);
+    state.market_profiles = market.profiles;
+  }
+  {
+    util::Rng rng(config.seed);
+    (void)rng.fork("market");
+    if (config.honeypots_per_vector > 0) {
+      state.honeypots =
+          HoneypotDeployment(state.pools, config.honeypots_per_vector,
+                             config.honeypot_public_share,
+                             rng.fork("honeypots"));
+    }
+  }
+  return state;
+}
+
+/// Everything one day shard produces, written into an index-addressed slot
+/// so the drain never depends on completion order.
+struct DayShardOutput {
+  flow::FlowList ixp;
+  flow::FlowList tier1;
+  flow::FlowList tier2;
+  std::vector<AttackRecord> attacks;
+  std::vector<HoneypotObservation> honeypot_log;
+  int worker = -1;               // attribution only
+  std::int64_t begin_nanos = 0;  // monotonic begin/end, for the timeline
+  std::int64_t end_nanos = 0;
+
+  [[nodiscard]] std::size_t flow_count() const noexcept {
+    return ixp.size() + tier1.size() + tier2.size();
+  }
+};
+
+/// Runs day shard `d`: replicates the market at day `d`, then generates
+/// attack, maintenance, and benign traffic into a fresh context. Pure in
+/// (internet, config, pools, honeypots, d) — every flow's `first` timestamp
+/// is >= config.start + d days (attacks launch within their day; the 1 h
+/// duration cap only spills *forward*), which is the invariant streaming
+/// sinks rely on to finalize earlier bins at day_complete barriers.
+/// Thread-safe: called concurrently for distinct `d`.
+void run_day_shard(const Internet& internet, const LandscapeConfig& config,
+                   const ReflectorPools& pools,
+                   const HoneypotDeployment& honeypots, std::size_t d,
+                   DayShardOutput& out) {
+  out.begin_nanos = util::monotonic_nanos();
+  const util::Timestamp day =
+      config.start + util::Duration::days(static_cast<std::int64_t>(d));
+  const util::Timestamp next = day + util::Duration::days(1);
+  const util::Timestamp horizon =
+      config.start + util::Duration::days(config.days);
+
+  // Market replica: every shard forks the same market sequence, so it sees
+  // the same profiles and per-service list seeds. Advancing start -> day
+  // applies exactly d churn days (plus booter B's one-off list switch),
+  // making list state a pure function of the day index.
+  util::Rng seed_rng(config.seed);
+  util::Rng market_rng = seed_rng.fork("market");
+  MarketRuntime market = build_market(internet, config, pools, market_rng);
+  for (BooterService& service : market.services) {
+    service.advance_to(config.start);
+    service.advance_to(day);
+  }
+
+  Context ctx(internet, config, util::Rng::split(config.seed, "context", d));
+  generate_attack_traffic(ctx, market, pools, honeypots, day, next, horizon,
+                          util::Rng::split(config.seed, "attacks", d),
+                          out.attacks, out.honeypot_log);
+  for (std::size_t b = 0; b < market.services.size(); ++b) {
+    // Per-(day, booter) stream: the cell index packs both so adding a
+    // booter never shifts another cell's stream.
+    util::Rng cell =
+        util::Rng::split(config.seed, "maintenance",
+                         (static_cast<std::uint64_t>(d) << 16) | b);
+    generate_maintenance_booter_day(ctx, market, b, day, config.takedown,
+                                    cell);
+  }
+  generate_benign_traffic(ctx, pools, day, next,
+                          util::Rng::split(config.seed, "benign", d));
+
+  out.ixp = std::move(ctx.ixp_flows);
+  out.tier1 = std::move(ctx.tier1_flows);
+  out.tier2 = std::move(ctx.tier2_flows);
+  out.worker = exec::ThreadPool::current_worker();
+  out.end_nanos = util::monotonic_nanos();
+}
+
+}  // namespace
+}  // namespace detail
 
 namespace {
 
@@ -32,6 +142,24 @@ std::uint64_t drain_list(flow::FlowBatch& batch, flow::FlowBatchSink& sink,
   }
   return flows.size();
 }
+
+/// Keeps the ground truth a materialized run returns.
+class GroundTruthCollector final : public GroundTruthSink {
+ public:
+  explicit GroundTruthCollector(LandscapeResult& result) : result_(&result) {}
+
+  void on_attacks(std::span<const AttackRecord> attacks) override {
+    result_->attacks.insert(result_->attacks.end(), attacks.begin(),
+                            attacks.end());
+  }
+  void on_honeypot_log(std::span<const HoneypotObservation> log) override {
+    result_->honeypot_log.insert(result_->honeypot_log.end(), log.begin(),
+                                 log.end());
+  }
+
+ private:
+  LandscapeResult* result_;
+};
 
 }  // namespace
 
@@ -127,6 +255,28 @@ StreamSummary run_landscape_stream(const Internet& internet,
       .counter("booterscope_stream_batches_total")
       .add(summary.batches);
   return summary;
+}
+
+LandscapeResult run_landscape(const Internet& internet,
+                              const LandscapeConfig& config,
+                              exec::ThreadPool& pool,
+                              obs::StageTracer* tracer) {
+  LandscapeResult result;
+  flow::CollectingSink flows;
+  GroundTruthCollector truth(result);
+  StreamSummary summary = run_landscape_stream(internet, config, pool, flows,
+                                               {}, tracer, &truth);
+  result.config = config;
+  result.market = std::move(summary.market);
+  result.ixp.store = flow::FlowStore{std::move(flows.flows(flow::kVantageIxp))};
+  result.ixp.sampling_rate = config.ixp_sampling;
+  result.tier1.store =
+      flow::FlowStore{std::move(flows.flows(flow::kVantageTier1))};
+  result.tier1.sampling_rate = config.tier1_sampling;
+  result.tier2.store =
+      flow::FlowStore{std::move(flows.flows(flow::kVantageTier2))};
+  result.tier2.sampling_rate = config.tier2_sampling;
+  return result;
 }
 
 }  // namespace booterscope::sim

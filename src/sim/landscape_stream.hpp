@@ -1,19 +1,19 @@
-// Streaming one-pass landscape driver (DESIGN.md §14).
+// The landscape engine (DESIGN.md §9): the one engine behind every
+// landscape run, streaming or materialized.
 //
-// Runs the same day shards as run_landscape_parallel but never materializes
-// the run: shards are scheduled in bounded waves of ~2x the pool size, and
-// each finished wave is drained — in day order, vantage-major within a day
-// (IXP, tier-1, tier-2) — into a FlowBatchSink as fixed-size columnar
-// batches, then freed. Peak RSS is O(inflight shards + sink state), flat in
-// run length, which is what lets --attacks-per-day climb from 300 toward
-// the paper's inferred ~20 000.
+// The run is sharded by simulated day. Every shard derives its randomness
+// with util::Rng::split(seed, label, day) — a pure function of the master
+// seed and the day index, never of thread identity. Shards are scheduled
+// over the pool in bounded waves of ~2x the pool size, and each finished
+// wave is drained — in day order, vantage-major within a day (IXP, tier-1,
+// tier-2) — into a FlowBatchSink as fixed-size columnar batches, then
+// freed. Peak RSS is O(inflight shards + sink state), flat in run length,
+// which is what lets --attacks-per-day climb from 300 toward the paper's
+// inferred ~20 000.
 //
-// Byte-identity with the materialized engine: the shard body is shared
-// (sim/landscape_shard.hpp) and the drain order equals the merge order of
-// run_landscape_parallel, so a sink that scans rows in delivery order sees
-// exactly the sequence a serial scan of the merged FlowStores would. The
-// determinism contract (split-RNG per shard, day-order delivery) holds at
-// any pool size and any batch capacity.
+// The delivered rows are byte-identical at any pool size (including 1)
+// and any batch capacity. A materialized run (sim::run_landscape) is this
+// engine draining into a flow::CollectingSink.
 #pragma once
 
 #include <array>

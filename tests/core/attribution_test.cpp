@@ -133,7 +133,8 @@ TEST(HoneypotPipeline, EndToEndOnSimulatedLandscape) {
   config.takedown = std::nullopt;
   config.attacks_per_day = 60.0;
   config.honeypots_per_vector = 1'500;
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(1);
+  const auto result = sim::run_landscape(internet, config, pool);
   ASSERT_FALSE(result.honeypot_log.empty());
 
   const auto attacks = group_observations(result.honeypot_log);
@@ -174,7 +175,8 @@ TEST(HoneypotPipeline, DisabledByDefault) {
   config.days = 3;
   config.takedown = std::nullopt;
   config.attacks_per_day = 30.0;
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(1);
+  const auto result = sim::run_landscape(internet, config, pool);
   EXPECT_TRUE(result.honeypot_log.empty());
 }
 

@@ -117,7 +117,8 @@ TEST(Remediation, ShrinksAttackOutputAfterRollout) {
   config.attacks_per_day = 80.0;
   config.remediation_start = Timestamp::parse("2018-11-15").value();
   config.remediation_per_day = 0.05;
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(1);
+  const auto result = sim::run_landscape(internet, config, pool);
 
   // Ground-truth attack output falls as reflectors get cleaned up.
   double early = 0.0;

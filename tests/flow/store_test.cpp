@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 
+#include "flow/batch.hpp"
 #include "net/protocol.hpp"
 #include "util/rng.hpp"
 
@@ -201,6 +203,29 @@ TEST(FlowStore, StreamingFileReadMatchesMaterializedRead) {
   EXPECT_EQ(*count, flows.size());
   EXPECT_EQ(sink.flows(0), flows);
   std::remove(path.c_str());
+}
+
+TEST(CollectingSink, GrowsGeometricallyAcrossBatches) {
+  // A materialized landscape run delivers thousands of small batches per
+  // vantage; growing the list to exactly size + batch on every consume
+  // reallocates (and copies every row so far) once per batch.
+  util::Rng rng(15);
+  FlowBatch batch(8);
+  while (!batch.full()) batch.push_back(make_flow(rng));
+  constexpr std::size_t kBatches = 1000;
+  CollectingSink sink;
+  std::size_t capacity = sink.flows(0).capacity();
+  std::size_t capacity_changes = 0;
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    sink.consume(0, batch.view());
+    if (sink.flows(0).capacity() != capacity) {
+      capacity = sink.flows(0).capacity();
+      ++capacity_changes;
+    }
+  }
+  const std::size_t rows = kBatches * batch.size();
+  ASSERT_EQ(sink.flows(0).size(), rows);
+  EXPECT_LE(capacity_changes, 2 * std::bit_width(rows));
 }
 
 }  // namespace

@@ -37,7 +37,8 @@ TEST(Conservation, FourteenDayLandscapeReplay) {
   config.attacks_per_day = 60.0;  // keeps the test under a second
 
   obs::StageTracer tracer;
-  const auto landscape = sim::run_landscape(internet, config, &tracer);
+  exec::ThreadPool pool(1);
+  const auto landscape = sim::run_landscape(internet, config, pool, &tracer);
   ASSERT_FALSE(landscape.ixp.store.empty());
 
   // Replay the IXP export chronologically as packet observations.
@@ -118,7 +119,7 @@ TEST(Conservation, FourteenDayLandscapeReplay) {
   EXPECT_NE(json.find("\"offered_packets\":"), std::string::npos);
   EXPECT_NE(json.find("\"exported_packets_lru_eviction\":"),
             std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"landscape\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"landscape_stream\""), std::string::npos);
 }
 
 }  // namespace

@@ -17,8 +17,9 @@ class PaperResults : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     internet_ = new sim::Internet(sim::InternetConfig{});
+    exec::ThreadPool pool(4);
     result_ = new sim::LandscapeResult(
-        sim::run_landscape(*internet_, sim::paper_landscape_config()));
+        sim::run_landscape(*internet_, sim::paper_landscape_config(), pool));
   }
   static void TearDownTestSuite() {
     delete result_;

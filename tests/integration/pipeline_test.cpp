@@ -31,7 +31,8 @@ sim::LandscapeConfig tiny_config() {
 
 TEST(Integration, IpfixWireRoundTripPreservesAnalysis) {
   const sim::Internet internet{sim::InternetConfig{}};
-  const auto result = sim::run_landscape(internet, tiny_config());
+  exec::ThreadPool pool(1);
+  const auto result = sim::run_landscape(internet, tiny_config(), pool);
   const auto& flows = result.ixp.store.flows();
   ASSERT_GT(flows.size(), 500u);
 
@@ -66,7 +67,8 @@ TEST(Integration, IpfixWireRoundTripPreservesAnalysis) {
 
 TEST(Integration, NetflowV5ExportOfTier2Flows) {
   const sim::Internet internet{sim::InternetConfig{}};
-  const auto result = sim::run_landscape(internet, tiny_config());
+  exec::ThreadPool pool(1);
+  const auto result = sim::run_landscape(internet, tiny_config(), pool);
   const auto& flows = result.tier2.store.flows();
   ASSERT_GT(flows.size(), 100u);
 
@@ -97,7 +99,8 @@ TEST(Integration, AnonymizationPreservesTakedownAnalysis) {
   const sim::Internet internet{sim::InternetConfig{}};
   auto config = tiny_config();
   config.days = 12;
-  const auto result = sim::run_landscape(internet, config);
+  exec::ThreadPool pool(1);
+  const auto result = sim::run_landscape(internet, config, pool);
   flow::FlowList anonymized = result.ixp.store.flows();
   const flow::PrefixPreservingAnonymizer anonymizer(
       util::SipKey{0xfeed, 0xbeef});

@@ -1,9 +1,9 @@
-// Streaming-engine equivalence suite (DESIGN.md §14): the one-pass
-// pipeline must be *byte-identical* to the materialized engine — same
+// Streaming equivalence suite (DESIGN.md §14): the one-pass analysis must
+// be *byte-identical* to the two-pass scans over a materialized run — same
 // flows, same BinnedSeries values, same wtN/redN verdicts — at every pool
 // size and batch capacity, with and without an engaged fault plan. These
-// tests are the contract that lets bench_fig4/bench_fig5 switch engines
-// with `--stream` and lets CI diff their stdout bytes.
+// tests are the contract that lets bench_fig4/bench_fig5 analyze in one
+// pass and lets CI diff their stdout bytes across threads and batch sizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +15,7 @@
 #include "fault/fault.hpp"
 #include "flow/batch.hpp"
 #include "net/protocol.hpp"
-#include "sim/landscape_parallel.hpp"
+#include "sim/landscape.hpp"
 #include "sim/landscape_stream.hpp"
 #include "stats/welch.hpp"
 #include "exec/thread_pool.hpp"
@@ -39,9 +39,9 @@ sim::LandscapeConfig tiny_config() {
   return config;
 }
 
-/// The materialized reference, computed once: the merged per-vantage
-/// FlowStores of run_landscape_parallel (byte-identical at any pool size
-/// by its own contract, so one pool size suffices as the reference).
+/// The materialized reference, computed once: the per-vantage FlowStores
+/// of sim::run_landscape (byte-identical at any pool size by its own
+/// contract, so one pool size suffices as the reference).
 struct Reference {
   sim::LandscapeConfig config;
   sim::LandscapeResult result;
@@ -53,7 +53,7 @@ const Reference& reference() {
     r.config = tiny_config();
     const sim::Internet internet{sim::InternetConfig{}};
     exec::ThreadPool pool(4);
-    r.result = sim::run_landscape_parallel(internet, r.config, pool);
+    r.result = sim::run_landscape(internet, r.config, pool);
     return r;
   }();
   return ref;
@@ -147,7 +147,7 @@ TEST(StreamEquivalence, SeriesAndVerdictsAreByteIdenticalToMaterialized) {
   const Timestamp takedown = *ref.config.takedown;
 
   // Materialized scan chain (serial: the streaming sink accumulates in
-  // delivery order, which equals a serial scan of the merged stores).
+  // delivery order, which equals a serial scan of the collected stores).
   const auto expected_ntp = core::daily_packets_to_port(
       reference_flows(flow::kVantageIxp), net::ports::kNtp, ref.config.start,
       ref.config.days);

@@ -17,7 +17,6 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "sim/landscape.hpp"
-#include "sim/landscape_parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "util/time.hpp"
 
@@ -61,8 +60,7 @@ TEST(LiveDeterminism, OutputBytesIdenticalWithLivePlaneOnOrOff) {
 
   // Plain run: no observers at all.
   exec::ThreadPool plain_pool(4);
-  const auto plain =
-      sim::run_landscape_parallel(shared_internet(), config, plain_pool);
+  const auto plain = sim::run_landscape(shared_internet(), config, plain_pool);
 
   // Observed run: the full live plane, ticking as fast as it is allowed to.
   exec::ThreadPool pool(4);
@@ -87,8 +85,7 @@ TEST(LiveDeterminism, OutputBytesIdenticalWithLivePlaneOnOrOff) {
                                  &obs::metrics(), &watchdog);
   const bool serving = server.start();
 
-  const auto observed =
-      sim::run_landscape_parallel(shared_internet(), config, pool);
+  const auto observed = sim::run_landscape(shared_internet(), config, pool);
 
   sampler.sample_now();
   EXPECT_FALSE(sampler.snapshot().empty());

@@ -121,12 +121,7 @@ int main(int argc, char** argv) {
   bench::write_perf_ledger("ablate_outage", cfg, &world.tracer, &world.pool,
                            world.run_wall_nanos, world.result_items(),
                            "outage-sweep", fault_seed, world.sampler.get());
-  if (world.timeline && world.sampler) {
-    world.sampler->export_to_timeline(*world.timeline);
-  }
-  if (world.timeline && world.watchdog) {
-    world.watchdog->export_to_timeline(*world.timeline);
-  }
-  bench::write_timeline("ablate_outage", world.timeline.get());
+  bench::write_timeline("ablate_outage", world.tracer, world.write_trace,
+                        world.sampler.get(), world.watchdog.get());
   return 0;
 }

@@ -117,7 +117,7 @@ void print_comparisons(const std::vector<Comparison>& rows) {
 
 namespace {
 
-/// Engages the timeline recorder and the live telemetry plane on a world
+/// Engages --timeline, --prof and the live telemetry plane on a world
 /// (LandscapeWorld or StreamWorld — same member slots). All of it is an
 /// observer: the sampler reads /proc and the registry, the watchdog reads
 /// heartbeats, the server reads snapshot views — none of them touch
@@ -125,16 +125,10 @@ namespace {
 /// unchanged (DESIGN.md §13). Call before the first pool task.
 template <typename World>
 void engage_live_plane(World& world, const RunOptions& options) {
-  if (options.timeline) {
-    world.timeline =
-        std::make_unique<obs::TimelineRecorder>(world.pool.size() + 1);
-    world.tracer.set_timeline(world.timeline.get());
-    world.pool.attach_timeline(world.timeline.get());
-  }
+  world.write_trace = options.timeline;
 
   if (options.prof) {
     obs::prof::Profiler::Options prof_options;
-    prof_options.lanes = world.pool.size() + 1;
     if (const char* force = std::getenv("BOOTERSCOPE_PROF_FORCE")) {
       prof_options.force = force;
     }
@@ -153,7 +147,6 @@ void engage_live_plane(World& world, const RunOptions& options) {
                    "back to wall clock\n";
     }
     world.tracer.set_profiler(world.profiler.get());
-    world.pool.attach_profiler(world.profiler.get());
   }
 
   world.serve_hold_ms = options.serve_hold_ms;
@@ -204,26 +197,19 @@ void engage_live_plane(World& world, const RunOptions& options) {
 }
 
 /// Post-run bookkeeping on the same member slots: snapshot the exec
-/// counters into the timeline (the pool has quiesced, so this is on the
-/// sequential surface), pin a final resource sample so even sub-interval
+/// counters into the trace (the pool is idle, so the driver may append),
+/// pin a final resource sample so even sub-interval
 /// runs end with a current point, then disarm the watchdog — nothing beats
 /// during the serve-hold window by design, and that silence is not a
 /// stall. The final stage tree replaces the empty pre-run snapshot.
 template <typename World>
 void finish_live_plane(World& world) {
-  if (world.timeline) {
-    world.timeline->sample_counters(obs::metrics(), "booterscope_exec",
-                                    util::monotonic_nanos());
+  if (world.write_trace) {
+    world.tracer.sample_counters(obs::metrics(), "booterscope_exec",
+                                 util::monotonic_nanos());
   }
   if (world.sampler) world.sampler->sample_now();
   if (world.watchdog) world.watchdog->disarm();
-  if (world.profiler) {
-    // The run has quiesced: detach the hot-path feeds so the profiler's
-    // sequential read surface (stages/folded, consumed by the ledger and
-    // /profilez) cannot race a stray late section.
-    world.pool.attach_profiler(nullptr);
-    world.tracer.set_profiler(nullptr);
-  }
   if (world.server) {
     world.server->publish_stages(obs::stages_json(world.tracer));
   }
@@ -310,7 +296,7 @@ void StreamWorld::run(flow::FlowBatchSink& sink) {
 }
 
 void StreamWorld::write_observability(const std::string& experiment_id,
-                                      std::uint64_t items) const {
+                                      std::uint64_t items) {
   bench::write_observability(experiment_id, config, &tracer, pool.size(),
                              &integrity, fault_profile_name, fault_seed);
   bench::write_perf_ledger(experiment_id, config, &tracer, &pool,
@@ -319,11 +305,8 @@ void StreamWorld::write_observability(const std::string& experiment_id,
                            {{"stream_batch", std::to_string(stream_batch)}});
   bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
                               server.get());
-  // Fold the live series into the trace as counter tracks before it is
-  // written (sequential surface; the run has quiesced).
-  if (timeline && sampler) sampler->export_to_timeline(*timeline);
-  if (timeline && watchdog) watchdog->export_to_timeline(*timeline);
-  bench::write_timeline(experiment_id, timeline.get());
+  bench::write_timeline(experiment_id, tracer, write_trace, sampler.get(),
+                        watchdog.get());
 }
 
 void LandscapeWorld::apply_faults(const RunOptions& options) {
@@ -527,16 +510,20 @@ void write_perf_ledger(
         v.context_switches = sample.context_switches;
         return v;
       };
-      for (const obs::prof::Profiler::StageCounters& stage :
-           profiler->stages()) {
-        obs::PerfLedger::HwCounters::Stage out;
-        out.path = stage.path;
-        out.lane = stage.lane;
-        out.sections = stage.sections;
-        out.v = to_values(stage.self);
-        hw.stages.push_back(std::move(out));
+      obs::prof::CounterSample total;
+      if (tracer != nullptr) {
+        for (const obs::prof::StageCounters& stage :
+             obs::prof::stage_counters(*tracer)) {
+          obs::PerfLedger::HwCounters::Stage out;
+          out.path = stage.path;
+          out.lane = stage.lane;
+          out.sections = stage.sections;
+          out.v = to_values(stage.self);
+          hw.stages.push_back(std::move(out));
+          total.accumulate(stage.self);
+        }
       }
-      hw.total = to_values(profiler->total());
+      hw.total = to_values(total);
       hw.lanes_failed = profiler->lanes_failed();
       hw.dropped_events = profiler->dropped();
     }
@@ -597,15 +584,13 @@ void write_folded_profile(const std::string& experiment_id,
                           obs::live::ScrapeServer* server) {
 #ifndef BOOTERSCOPE_NO_METRICS
   if (profiler == nullptr) return;  // --prof off: no artifact at all
-  std::string folded;
-  if (profiler->available()) {
-    folded = profiler->folded(experiment_id);
-  } else if (tracer != nullptr) {
-    // Counters unavailable: fall back to the tracer's measured wall nanos
-    // (real numbers, differently weighted) rather than emitting nothing —
-    // the ledger's prof_unavailable reason already says why.
-    folded = obs::prof::folded_from_tracer(experiment_id, *tracer);
-  }
+  // Counters unavailable (disabled tier): the projection falls back to the
+  // tracer's measured wall nanos rather than emitting nothing — the
+  // ledger's prof_unavailable reason already says why.
+  const std::string folded =
+      tracer != nullptr
+          ? obs::prof::folded(experiment_id, *tracer, profiler->tier())
+          : std::string();
   const std::string path = "OBS_" + experiment_id + ".folded.txt";
   if (std::FILE* file = std::fopen(path.c_str(), "wb")) {
     std::fwrite(folded.data(), 1, folded.size(), file);
@@ -626,17 +611,25 @@ void write_folded_profile(const std::string& experiment_id,
 #endif
 }
 
-void write_timeline(const std::string& experiment_id,
-                    const obs::TimelineRecorder* timeline) {
+void write_timeline(const std::string& experiment_id, obs::StageTracer& tracer,
+                    bool requested, const obs::live::ResourceSampler* sampler,
+                    const obs::live::Watchdog* watchdog) {
 #ifndef BOOTERSCOPE_NO_METRICS
-  if (timeline == nullptr) return;
+  if (!requested) return;
+  // The live series become counter tracks and stall instants of the log
+  // before it is written.
+  if (sampler != nullptr) sampler->export_to_timeline(tracer);
+  if (watchdog != nullptr) watchdog->export_to_timeline(tracer);
   const std::string path = "OBS_" + experiment_id + ".trace.json";
-  if (!timeline->write(path)) {
+  if (!tracer.write_chrome_trace(path)) {
     std::cerr << "warning: could not write " << path << "\n";
   }
 #else
   (void)experiment_id;
-  (void)timeline;
+  (void)tracer;
+  (void)requested;
+  (void)sampler;
+  (void)watchdog;
 #endif
 }
 

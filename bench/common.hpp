@@ -23,7 +23,6 @@
 #include "obs/manifest.hpp"
 #include "obs/perf_ledger.hpp"
 #include "obs/prof/profiler.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/booter.hpp"
 #include "sim/internet.hpp"
@@ -179,22 +178,24 @@ void write_perf_ledger(
     const obs::prof::Profiler* profiler = nullptr,
     const std::vector<std::pair<std::string, std::string>>& extra_config = {});
 
-/// Writes OBS_<id>.folded.txt — flamegraph.pl-compatible folded stacks —
-/// and publishes the same text at the scrape server's /profilez route when
-/// one is serving. Counter-weighted (cycles, or task-clock nanos on the
-/// software tier) when the profiler measured; honest wall-clock fallback
-/// rendered from the quiesced tracer when it could not. No-op without
-/// --prof (null profiler) or under BOOTERSCOPE_NO_METRICS.
+/// Writes OBS_<id>.folded.txt — flamegraph.pl-compatible folded stacks
+/// projected from the tracer — and publishes the same text at the scrape
+/// server's /profilez route when one is serving. Counter-weighted (cycles,
+/// or task-clock nanos on the software tier) when the profiler measured;
+/// honest wall-clock fallback when it could not. No-op without --prof
+/// (null profiler) or under BOOTERSCOPE_NO_METRICS.
 void write_folded_profile(const std::string& experiment_id,
                           const obs::prof::Profiler* profiler,
                           const obs::StageTracer* tracer,
                           obs::live::ScrapeServer* server);
 
-/// Writes OBS_<id>.trace.json (Chrome trace-event JSON; open in Perfetto
-/// or chrome://tracing). No-op for a null recorder or under
-/// BOOTERSCOPE_NO_METRICS.
-void write_timeline(const std::string& experiment_id,
-                    const obs::TimelineRecorder* timeline);
+/// With --timeline (`requested`), folds the live plane's sampler and
+/// watchdog tracks into the tracer's log and writes OBS_<id>.trace.json
+/// (Chrome trace-event JSON; open in Perfetto or chrome://tracing). Call
+/// once the pool is idle. No-op otherwise or under BOOTERSCOPE_NO_METRICS.
+void write_timeline(const std::string& experiment_id, obs::StageTracer& tracer,
+                    bool requested, const obs::live::ResourceSampler* sampler,
+                    const obs::live::Watchdog* watchdog);
 
 /// The landscape world shared by the §4/§5 benches that need the flows in
 /// memory: one full 122-day run of the landscape engine, collected by
@@ -202,13 +203,12 @@ void write_timeline(const std::string& experiment_id,
 struct LandscapeWorld {
   sim::Internet internet;
   obs::StageTracer tracer;
-  /// Engaged by --timeline: the begin/end recorder the tracer and pool
-  /// feed. Declared before pool/result so the run (which assigns it) never
-  /// races a later default initializer.
-  std::unique_ptr<obs::TimelineRecorder> timeline;
-  /// Engaged by --prof: per-lane hardware counter groups the tracer and
-  /// pool feed. Declared before pool for the same outliving reason as the
-  /// timeline (workers read it until they detach).
+  /// Set by --timeline: write the tracer's log as a Chrome trace.
+  bool write_trace = false;
+  /// Engaged by --prof: per-lane hardware counter groups the tracer reads
+  /// at every span. Declared before pool/result so the run (which assigns
+  /// it) never races a later default initializer, and so it outlives the
+  /// workers that read it.
   std::unique_ptr<obs::prof::Profiler> profiler;
   /// Wall nanos of the landscape run alone (not process lifetime) — the
   /// headline number of the perf ledger.
@@ -268,7 +268,7 @@ struct LandscapeWorld {
            result.tier1.store.size() + result.tier2.store.size();
   }
 
-  void write_observability(const std::string& experiment_id) const {
+  void write_observability(const std::string& experiment_id) {
     bench::write_observability(experiment_id, result.config, &tracer,
                                pool.size(), &integrity, fault_profile_name,
                                fault_seed);
@@ -278,18 +278,14 @@ struct LandscapeWorld {
                              profiler.get());
     bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
                                 server.get());
-    // Fold the live series into the trace as counter tracks before it is
-    // written (sequential surface; the run has quiesced).
-    if (timeline && sampler) sampler->export_to_timeline(*timeline);
-    if (timeline && watchdog) watchdog->export_to_timeline(*timeline);
-    bench::write_timeline(experiment_id, timeline.get());
+    bench::write_timeline(experiment_id, tracer, write_trace, sampler.get(),
+                          watchdog.get());
   }
 
  private:
-  /// Init helper for `result`: optionally engages the timeline (recorder
-  /// sized pool+1, attached to tracer and pool before the first task) and
-  /// times the landscape run. Runs after pool's initializer, before
-  /// apply_faults.
+  /// Init helper for `result`: engages the observers (--timeline, --prof,
+  /// the live plane) before the first task and times the landscape run.
+  /// Runs after pool's initializer, before apply_faults.
   static sim::LandscapeResult run_timed(LandscapeWorld& world,
                                         const RunOptions& options);
 };
@@ -305,9 +301,9 @@ struct StreamWorld {
   sim::Internet internet;
   obs::StageTracer tracer;
   /// Members mirror LandscapeWorld's declaration-order discipline: the
-  /// timeline and profiler before the pool, the live plane after the pool
-  /// (probes read it; reverse destruction stops them first).
-  std::unique_ptr<obs::TimelineRecorder> timeline;
+  /// profiler before the pool, the live plane after the pool (probes read
+  /// it; reverse destruction stops them first).
+  bool write_trace = false;
   std::unique_ptr<obs::prof::Profiler> profiler;
   std::uint64_t run_wall_nanos = 0;
   exec::ThreadPool pool;
@@ -358,7 +354,7 @@ struct StreamWorld {
   /// Streaming analogue of LandscapeWorld::write_observability; `items`
   /// is result_items(kept) since the world cannot see inside the sink.
   void write_observability(const std::string& experiment_id,
-                           std::uint64_t items) const;
+                           std::uint64_t items);
 };
 
 }  // namespace booterscope::bench

@@ -4,8 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "obs/prof/profiler.hpp"
-#include "obs/timeline.hpp"
 #include "util/time.hpp"
 
 namespace booterscope::exec {
@@ -67,13 +65,12 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     WorkerQueue& queue = *queues_[target];
     const util::MutexLock lock(queue.mutex);
-    queue.tasks.push_back(std::move(task));
+    queue.tasks.push_back(Task{std::move(task), obs::current_span_context()});
   }
   work_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task,
-                         bool& stole) {
+bool ThreadPool::try_pop(std::size_t index, Task& task, bool& stole) {
   stole = false;
   // Own queue first, front (LIFO locality for the owner would be pop_back
   // of locally pushed tasks; FIFO here keeps shard order roughly temporal,
@@ -105,28 +102,38 @@ bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task,
 
 void ThreadPool::worker_loop(std::size_t index) {
   tls_worker_index = static_cast<int>(index);
-  // Timeline lane of this worker: w+1 (lane 0 is the driver thread).
-  obs::set_timeline_lane(static_cast<int>(index) + 1);
-  std::function<void()> task;
+  // Lane of this worker: w+1 (lane 0 is the driver thread).
+  const std::size_t lane = index + 1;
+  obs::set_current_lane(static_cast<int>(lane));
+  Task task;
   bool stole = false;
   for (;;) {
     if (try_pop(index, task, stole)) {
       // Attribution around the task is lock-free: two monotonic reads, a
-      // relaxed add on the worker's own cache line, and (only when a
-      // recorder is attached) an append into this worker's own lane.
-      obs::TimelineRecorder* timeline =
-          timeline_.load(std::memory_order_acquire);
-      obs::prof::Profiler* profiler =
-          profiler_.load(std::memory_order_acquire);
+      // relaxed add on the worker's own cache line, and (only for a traced
+      // submitter) appends to this worker's own lane of its tracer.
+      obs::StageTracer* tracer = task.context.tracer;
+      const auto log = [&](obs::SpanKind kind, const char* name,
+                           std::int64_t begin, std::int64_t end) {
+        obs::SpanRecord record;
+        record.kind = kind;
+        record.name = name;
+        record.begin_nanos = begin;
+        record.end_nanos = end;
+        tracer->append(lane, std::move(record));
+      };
       const std::int64_t t0 = util::monotonic_nanos();
-      if (stole && timeline != nullptr) timeline->record_instant("steal", t0);
+      if (stole && tracer != nullptr) {
+        log(obs::SpanKind::kInstant, "steal", t0, t0);
+      }
       stats_[index]->active.store(true, std::memory_order_relaxed);
-      if (profiler != nullptr) profiler->enter("task");
-      task();
-      if (profiler != nullptr) profiler->leave();
+      {
+        const obs::SpanContextScope scope(task.context);
+        task.run();
+      }
       stats_[index]->active.store(false, std::memory_order_relaxed);
       const std::int64_t t1 = util::monotonic_nanos();
-      task = nullptr;
+      task = Task{};
       // Beat the attached liveness heartbeat (if any): each completed task
       // is proof of forward progress for the watchdog.
       if (std::atomic<std::int64_t>* heartbeat =
@@ -138,7 +145,7 @@ void ThreadPool::worker_loop(std::size_t index) {
               static_cast<std::uint64_t>(t1 - t0), std::memory_order_relaxed) +
           static_cast<std::uint64_t>(t1 - t0);
       busy_metrics_[index]->set(static_cast<double>(busy) / 1e9);
-      if (timeline != nullptr) timeline->record_span("task", "task", t0, t1);
+      if (tracer != nullptr) log(obs::SpanKind::kTask, "task", t0, t1);
       executed_.fetch_add(1, std::memory_order_relaxed);
       task_metrics_[index]->inc();
       if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -155,7 +162,7 @@ void ThreadPool::worker_loop(std::size_t index) {
     work_cv_.wait_for(sleep_mutex_, std::chrono::milliseconds(50));
     if (stop_.load(std::memory_order_acquire)) break;
   }
-  obs::set_timeline_lane(0);
+  obs::set_current_lane(0);
   tls_worker_index = -1;
 }
 

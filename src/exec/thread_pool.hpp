@@ -13,11 +13,12 @@
 // registry — booterscope_exec_tasks_total{worker=...},
 // booterscope_exec_steals_total{worker=...} and the utilization gauge
 // booterscope_exec_worker_busy_seconds{worker=...} — so a run manifest
-// shows how work actually spread across the pool. When a TimelineRecorder
-// is attached, every executed task additionally records a begin/end span
-// (and every steal an instant) into the worker's own timeline lane; the
-// lane buffers are single-writer, so the hot path stays lock-free whether
-// or not anyone is watching.
+// shows how work actually spread across the pool. Each task runs under the
+// obs::SpanContext its submitter had (the stage it had open), so stages
+// opened inside a task nest under that stage; when the submitter was
+// traced, the worker also appends a task record (and a steal instant) to
+// its own lane of the tracer's log — single-writer, so the hot path stays
+// lock-free whether or not anyone is watching.
 #pragma once
 
 #include <atomic>
@@ -28,14 +29,8 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/annotations.hpp"
-
-namespace booterscope::obs {
-class TimelineRecorder;
-namespace prof {
-class Profiler;
-}  // namespace prof
-}  // namespace booterscope::obs
 
 namespace booterscope::exec {
 
@@ -50,9 +45,11 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueues one task. Tasks submitted from a pool worker go to that
-  /// worker's own deque (depth-first, cache-friendly); off-pool submissions
-  /// are spread round-robin.
+  /// Enqueues one task, to run under the caller's current SpanContext.
+  /// Tasks submitted from a pool worker go to that worker's own deque
+  /// (depth-first, cache-friendly); off-pool submissions are spread
+  /// round-robin. A traced submitter's tracer must outlive the task: wait
+  /// for wait_idle() before destroying it.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished. Must be called from
@@ -95,37 +92,24 @@ class ThreadPool {
   /// flags; momentary by nature, meant for sampling.
   [[nodiscard]] std::size_t busy_workers() const noexcept;
 
-  /// Attaches a begin/end timeline: tasks and steals start recording into
-  /// per-worker lanes (lane w+1 for worker w; size the recorder as
-  /// size() + 1). Attach while the pool is idle and keep the recorder alive
-  /// until after the last wait_idle(); detach with nullptr.
-  void attach_timeline(obs::TimelineRecorder* timeline) noexcept {
-    timeline_.store(timeline, std::memory_order_release);
-  }
-
-  /// Attaches a hardware-counter profiler (obs::prof): every executed task
-  /// becomes a "task" section on the worker's own prof lane (lane w+1,
-  /// mirroring attach_timeline), so counter deltas attribute per worker.
-  /// The worker's perf event group opens lazily on its first profiled task
-  /// — a perf group counts only the thread that opened it. Same lifetime
-  /// contract as attach_timeline; detach with nullptr before destroying
-  /// the profiler.
-  void attach_profiler(obs::prof::Profiler* profiler) noexcept {
-    profiler_.store(profiler, std::memory_order_release);
-  }
-
   /// Attaches a liveness heartbeat (obs::live::Watchdog::register_heartbeat
   /// hands one out): every worker stores the task-completion timestamp into
-  /// it, so a watchdog can tell a draining pool from a wedged one. Same
-  /// lifetime contract as attach_timeline; detach with nullptr.
+  /// it, so a watchdog can tell a draining pool from a wedged one. Attach
+  /// while the pool is idle and keep the heartbeat alive until after the
+  /// last wait_idle(); detach with nullptr.
   void attach_heartbeat(std::atomic<std::int64_t>* heartbeat) noexcept {
     heartbeat_.store(heartbeat, std::memory_order_release);
   }
 
  private:
+  struct Task {
+    std::function<void()> run;
+    obs::SpanContext context;  // the submitter's, installed while it runs
+  };
+
   struct WorkerQueue {
     util::Mutex mutex;
-    std::deque<std::function<void()>> tasks BS_GUARDED_BY(mutex);
+    std::deque<Task> tasks BS_GUARDED_BY(mutex);
   };
 
   /// Per-worker accounting on its own cache line: only the owning worker
@@ -136,8 +120,7 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t index);
-  [[nodiscard]] bool try_pop(std::size_t index, std::function<void()>& task,
-                             bool& stole);
+  [[nodiscard]] bool try_pop(std::size_t index, Task& task, bool& stole);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::unique_ptr<WorkerStats>> stats_;  // per worker
@@ -145,8 +128,6 @@ class ThreadPool {
   std::vector<obs::Counter*> task_metrics_;   // per worker
   std::vector<obs::Counter*> steal_metrics_;  // per worker
   std::vector<obs::Gauge*> busy_metrics_;     // per worker, busy seconds
-  std::atomic<obs::TimelineRecorder*> timeline_{nullptr};
-  std::atomic<obs::prof::Profiler*> profiler_{nullptr};
   std::atomic<std::atomic<std::int64_t>*> heartbeat_{nullptr};
   std::atomic<std::size_t> next_queue_{0};
   std::atomic<std::size_t> pending_{0};

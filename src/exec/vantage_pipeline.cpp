@@ -7,7 +7,6 @@
 
 #include "flow/sampler.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 
 namespace booterscope::exec {
 
@@ -26,7 +25,6 @@ void sort_for_replay(flow::FlowList& flows) {
 
 void run_chain(const VantageChainSpec& spec, std::size_t index,
                VantageChainOutput& out) {
-  out.begin_nanos = util::monotonic_nanos();
   out.name = spec.name;
 
   if (spec.input == nullptr) {
@@ -83,8 +81,6 @@ void run_chain(const VantageChainSpec& spec, std::size_t index,
   out.offered_packets = exporter.offered_packets();
   out.sampled_out_packets = exporter.sampled_out_packets();
   out.stats = exporter.collector().stats();
-  out.worker = ThreadPool::current_worker();
-  out.end_nanos = util::monotonic_nanos();
 }
 
 }  // namespace
@@ -95,24 +91,29 @@ std::vector<VantageChainOutput> run_vantage_chains(
   obs::StageTimer timer(tracer, "vantage_chains");
   std::vector<VantageChainOutput> outputs(specs.size());
   pool.parallel_for(specs.size(), [&](std::size_t i) {
-    const std::int64_t t0 = util::monotonic_nanos();
+    const std::uint64_t offered =
+        specs[i].input != nullptr ? specs[i].input->size() : 0;
     try {
+      obs::StageTimer chain(tracer, "chain:" + specs[i].name);
+      chain.add_items_in(offered);
       run_chain(specs[i], i, outputs[i]);
+      chain.add_items_out(outputs[i].exported.size());
     } catch (const std::exception& e) {
       // Quarantine: one broken vantage must not take down the run. The
       // chain's partial output is discarded (partial exports would break
       // per-chain conservation) and the failure is recorded for the
       // manifest's integrity block.
+      const obs::StageTimer quarantined(tracer, "quarantined:" + specs[i].name);
       VantageChainOutput& out = outputs[i];
       out = VantageChainOutput{};
       out.name = specs[i].name;
       out.quarantined = true;
       out.error = e.what();
-      out.worker = ThreadPool::current_worker();
-      out.begin_nanos = t0;
-      out.end_nanos = util::monotonic_nanos();
     }
   });
+  // Let the tasks retire (their traced task records land after the last
+  // body) so the caller may read or destroy the tracer on return.
+  pool.wait_idle();
 
   obs::Counter& chains_metric =
       obs::metrics().counter("booterscope_exec_vantage_chains_total");
@@ -123,24 +124,6 @@ std::vector<VantageChainOutput> run_vantage_chains(
     if (outputs[i].quarantined) quarantined_metric.inc();
     timer.add_items_in(specs[i].input != nullptr ? specs[i].input->size() : 0);
     timer.add_items_out(outputs[i].exported.size());
-    if (tracer != nullptr) {
-      const std::string label =
-          (outputs[i].quarantined ? "quarantined:" : "chain:") +
-          outputs[i].name;
-      tracer->add_completed(
-          label, outputs[i].worker,
-          static_cast<std::uint64_t>(outputs[i].end_nanos -
-                                     outputs[i].begin_nanos),
-          1, specs[i].input != nullptr ? specs[i].input->size() : 0,
-          outputs[i].exported.size(), 0);
-      obs::TimelineRecorder* timeline = tracer->timeline();
-      if (timeline != nullptr && outputs[i].worker >= 0) {
-        // Post-quiesce hand-off into the worker's own timeline lane.
-        timeline->add_completed_span(
-            static_cast<std::size_t>(outputs[i].worker) + 1, label, "chain",
-            outputs[i].begin_nanos, outputs[i].end_nanos);
-      }
-    }
   }
   return outputs;
 }

@@ -44,18 +44,13 @@ struct VantageChainSpec {
   std::size_t vantage_index = 0;
 };
 
-/// What one chain produced, plus its exact accounting and attribution.
+/// What one chain produced, plus its exact accounting.
 struct VantageChainOutput {
   std::string name;
   flow::FlowList exported;
   std::uint64_t offered_packets = 0;
   std::uint64_t sampled_out_packets = 0;
   flow::CollectorStats stats;
-  int worker = -1;  // pool worker that ran the chain (attribution only)
-  /// Monotonic begin/end of the chain's execution (util::monotonic_nanos),
-  /// mirrored into the worker's timeline lane after the pool quiesces.
-  std::int64_t begin_nanos = 0;
-  std::int64_t end_nanos = 0;
   /// Flows withheld by the fault plan's outage windows (never offered).
   std::uint64_t outage_dropped_flows = 0;
   /// A chain that throws is quarantined: its output is empty, `error`
@@ -69,9 +64,10 @@ struct VantageChainOutput {
 /// it through the sampler and collector with periodic expiry, then drains.
 /// The conservation identity
 ///   offered == sampled_out + exported (by reason) + cached(== 0 after drain)
-/// holds for every output. A chain that fails (throws, or has a null
-/// input) is quarantined — marked in its output and in the stage trace —
-/// instead of taking the whole run down.
+/// holds for every output. Each chain is a `chain:<name>` stage opened on
+/// its worker, nested under `vantage_chains`. A chain that fails (throws,
+/// or has a null input) is quarantined — marked in its output and by a
+/// `quarantined:<name>` stage — instead of taking the whole run down.
 [[nodiscard]] std::vector<VantageChainOutput> run_vantage_chains(
     const std::vector<VantageChainSpec>& specs, ThreadPool& pool,
     obs::StageTracer* tracer = nullptr);

@@ -6,7 +6,7 @@
 
 #include "obs/live/watchdog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 #include "util/time.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -148,25 +148,31 @@ ResourceSampler::SlopeFit ResourceSampler::fit_rss_slope(
   return fit;
 }
 
-void ResourceSampler::export_to_timeline(TimelineRecorder& timeline) const {
+void ResourceSampler::export_to_timeline(StageTracer& tracer) const {
+  const auto track = [&tracer](const std::string& name,
+                               std::int64_t at_nanos, double value) {
+    SpanRecord record;
+    record.kind = SpanKind::kCounter;
+    record.name = name;
+    record.begin_nanos = at_nanos;
+    record.end_nanos = at_nanos;
+    record.value = value;
+    tracer.append(0, std::move(record));
+  };
   const std::vector<Sample> samples = snapshot();
   for (const Sample& sample : samples) {
-    timeline.add_counter_sample("booterscope_live_rss_bytes", sample.at_nanos,
-                                static_cast<double>(sample.rss_bytes));
-    timeline.add_counter_sample("booterscope_live_cpu_seconds",
-                                sample.at_nanos, sample.cpu_seconds);
-    timeline.add_counter_sample("booterscope_live_pool_queue_depth",
-                                sample.at_nanos,
-                                static_cast<double>(sample.pool_queue_depth));
-    timeline.add_counter_sample("booterscope_live_pool_busy_workers",
-                                sample.at_nanos,
-                                static_cast<double>(sample.pool_busy_workers));
+    track("booterscope_live_rss_bytes", sample.at_nanos,
+          static_cast<double>(sample.rss_bytes));
+    track("booterscope_live_cpu_seconds", sample.at_nanos, sample.cpu_seconds);
+    track("booterscope_live_pool_queue_depth", sample.at_nanos,
+          static_cast<double>(sample.pool_queue_depth));
+    track("booterscope_live_pool_busy_workers", sample.at_nanos,
+          static_cast<double>(sample.pool_busy_workers));
     for (std::size_t i = 0; i < config_.counter_names.size() &&
                             i < sample.counter_values.size();
          ++i) {
-      timeline.add_counter_sample(
-          config_.counter_names[i], sample.at_nanos,
-          static_cast<double>(sample.counter_values[i]));
+      track(config_.counter_names[i], sample.at_nanos,
+            static_cast<double>(sample.counter_values[i]));
     }
   }
 }

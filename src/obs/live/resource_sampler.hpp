@@ -34,7 +34,7 @@
 
 namespace booterscope::obs {
 class MetricsRegistry;
-class TimelineRecorder;
+class StageTracer;
 }  // namespace booterscope::obs
 
 namespace booterscope::obs::live {
@@ -119,9 +119,10 @@ class ResourceSampler {
   [[nodiscard]] static SlopeFit fit_rss_slope(
       const std::vector<Sample>& samples);
 
-  /// Appends every series as "C" counter tracks (lane 0). Sequential
-  /// surface: call post-quiesce, before the timeline is written.
-  void export_to_timeline(TimelineRecorder& timeline) const;
+  /// Appends every series as counter records on the tracer's driver lane
+  /// ("C" tracks in the Chrome trace). Call from the driver once the pool
+  /// is idle, before the trace is written.
+  void export_to_timeline(StageTracer& tracer) const;
 
   /// Current resident set size: /proc/self/statm where available, else
   /// getrusage peak (documented fallback: peak, not current), else 0.

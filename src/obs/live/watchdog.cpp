@@ -1,7 +1,7 @@
 #include "obs/live/watchdog.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 
 namespace booterscope::obs::live {
 
@@ -96,13 +96,20 @@ std::vector<StallEvent> Watchdog::stall_events() const {
   return events_;
 }
 
-void Watchdog::export_to_timeline(TimelineRecorder& timeline) const {
+void Watchdog::export_to_timeline(StageTracer& tracer) const {
+  const auto instant = [&tracer](std::string name, std::int64_t at_nanos) {
+    SpanRecord record;
+    record.kind = SpanKind::kInstant;
+    record.name = std::move(name);
+    record.begin_nanos = at_nanos;
+    record.end_nanos = at_nanos;
+    tracer.append(0, std::move(record));
+  };
   const util::MutexLock lock(mutex_);
   for (const StallEvent& event : events_) {
-    timeline.record_instant("stall:" + event.source, event.detected_nanos);
+    instant("stall:" + event.source, event.detected_nanos);
     if (event.recovered_nanos != 0) {
-      timeline.record_instant("stall_recovered:" + event.source,
-                              event.recovered_nanos);
+      instant("stall_recovered:" + event.source, event.recovered_nanos);
     }
   }
 }

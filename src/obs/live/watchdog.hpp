@@ -31,7 +31,7 @@
 
 namespace booterscope::obs {
 class MetricsRegistry;
-class TimelineRecorder;
+class StageTracer;
 }  // namespace booterscope::obs
 
 namespace booterscope::obs::live {
@@ -101,10 +101,10 @@ class Watchdog {
   /// Snapshot of every stall event, detection order.
   [[nodiscard]] std::vector<StallEvent> stall_events() const;
 
-  /// Appends each stall (and its recovery) as instant events on the calling
-  /// thread's timeline lane. Sequential surface: call post-quiesce from the
-  /// driver, like every timeline export.
-  void export_to_timeline(TimelineRecorder& timeline) const;
+  /// Appends each stall (and its recovery) as instant records on the
+  /// tracer's driver lane, for the Chrome trace. Call from the driver once
+  /// the pool is idle, before the trace is written.
+  void export_to_timeline(StageTracer& tracer) const;
 
  private:
   struct Heartbeat {

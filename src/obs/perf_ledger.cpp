@@ -49,12 +49,7 @@ void PerfLedger::set_stages(const StageTracer& tracer) {
     stage.depth = flat.depth;
     stage.worker = node.worker;
     stage.total_nanos = node.wall_nanos;
-    std::uint64_t children = 0;
-    for (const auto& child : node.children) children += child->wall_nanos;
-    // Attributed children can over-count the parent (per-worker spans
-    // overlap in wall time); clamp so self never underflows.
-    stage.self_nanos =
-        children < node.wall_nanos ? node.wall_nanos - children : 0;
+    stage.self_nanos = node.self_nanos();
     stage.calls = node.calls;
     stage.items_in = node.items_in;
     stage.items_out = node.items_out;

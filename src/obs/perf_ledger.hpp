@@ -65,7 +65,8 @@ class PerfLedger {
   void set_items(std::uint64_t items) noexcept { items_ = items; }
 
   /// Per-stage breakdown copied from a quiesced tracer. `total` is the
-  /// stage's accumulated wall, `self` is total minus its children's.
+  /// stage's accumulated wall, `self` is StageNode::self_nanos() (total minus
+  /// its children on the same lane).
   void set_stages(const StageTracer& tracer);
 
   /// Pool utilization: per-worker busy nanos against the run's wall time.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
 namespace booterscope::obs::prof {
@@ -34,151 +33,26 @@ namespace {
   return sample.task_clock_nanos;
 }
 
-void folded_from_node(const StageNode& node, const std::string& prefix,
-                      std::vector<Profiler::StageCounters>& out) {
-  for (const auto& child : node.children) {
-    std::string path = prefix.empty() ? child->name : prefix + ";" + child->name;
-    std::uint64_t children_nanos = 0;
-    for (const auto& grand : child->children) {
-      children_nanos += grand->wall_nanos;
-    }
-    Profiler::StageCounters entry;
-    entry.path = path;
-    entry.lane = child->worker >= 0 ? child->worker + 1 : 0;
-    entry.sections = child->calls;
-    // Self wall time stands in for the missing counters; clamped the same
-    // way PerfLedger clamps self_seconds (attributed children can overlap).
-    entry.self.task_clock_nanos = children_nanos < child->wall_nanos
-                                      ? child->wall_nanos - children_nanos
-                                      : 0;
-    out.push_back(std::move(entry));
-    folded_from_node(*child, path, out);
-  }
-}
-
-}  // namespace
-
-Profiler::Profiler(Options options)
-    : force_(std::move(options.force)), opener_(std::move(options.opener)) {
-  const std::size_t lanes = options.lanes == 0 ? 1 : options.lanes;
-  lanes_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-  // Probe the ladder once, on the constructing (driver) thread; the probe
-  // group becomes lane 0's group so the driver's sections count from here.
-  CounterGroup probe = open_thread_counters(force_, opener_);
-  tier_ = probe.tier();
-  if (tier_ == Tier::kDisabled) {
-    unavailable_reason_ = probe.unavailable_reason();
-    return;
-  }
-  Lane& driver = *lanes_[0];
-  driver.group = std::move(probe);
-  driver.open_attempted = true;
-  CounterSample now;
-  if (driver.group.read(now)) driver.last = now;
-}
-
-Profiler::~Profiler() = default;
-
-Profiler::Lane* Profiler::lane_for_caller() noexcept {
-  const int lane = obs::timeline_lane();
-  if (lane < 0 || static_cast<std::size_t>(lane) >= lanes_.size()) {
-    return nullptr;
-  }
-  return lanes_[static_cast<std::size_t>(lane)].get();
-}
-
-bool Profiler::settle(Lane& lane) noexcept {
-  CounterSample now;
-  if (!lane.group.read(now)) {
-    // The group self-disabled (kernel read failure); whatever was
-    // accumulated stands as the final word for this lane.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (!lane.stack.empty()) {
-    lane.accum[lane.stack.back()].self.accumulate(now.delta_since(lane.last));
-  }
-  lane.last = now;
-  return true;
-}
-
-void Profiler::enter(std::string_view name) noexcept {
-  if (tier_ == Tier::kDisabled) return;
-  Lane* slot = lane_for_caller();
-  if (slot == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Lane& lane = *slot;
-  if (!lane.open_attempted) {
-    // First section on this lane's thread: open its group here, because a
-    // perf group counts only the thread that opened it.
-    lane.open_attempted = true;
-    lane.group = open_thread_counters(pin_token(tier_), opener_);
-    if (!lane.group.enabled()) {
-      lanes_failed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      CounterSample now;
-      if (lane.group.read(now)) lane.last = now;
-    }
-  }
-  if (!lane.group.enabled()) return;
-  if (!settle(lane)) return;
-  std::string& path = lane.path_scratch;
-  path.clear();
-  if (!lane.stack.empty()) {
-    path += lane.accum[lane.stack.back()].path;
-    path.push_back(';');
-  }
-  path.append(name.data(), name.size());
-  std::uint32_t index = static_cast<std::uint32_t>(lane.accum.size());
-  for (std::uint32_t i = 0; i < lane.accum.size(); ++i) {
-    if (lane.accum[i].path == path) {
-      index = i;
-      break;
-    }
-  }
-  if (index == lane.accum.size()) {
-    StageAccum accum;
-    accum.path = path;
-    lane.accum.push_back(std::move(accum));
-  }
-  ++lane.accum[index].sections;
-  lane.stack.push_back(index);
-}
-
-void Profiler::leave() noexcept {
-  if (tier_ == Tier::kDisabled) return;
-  Lane* slot = lane_for_caller();
-  if (slot == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Lane& lane = *slot;
-  if (!lane.group.enabled()) return;
-  if (lane.stack.empty()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  settle(lane);  // even on a failed read the stack must stay balanced
-  lane.stack.pop_back();
-}
-
-std::vector<Profiler::StageCounters> Profiler::stages() const {
-  const util::ConcurrencyGuard::Scope scope(read_guard_, "Profiler::stages");
+/// One StageCounters entry per stage-tree node that `keep` accepts, with
+/// its ';'-joined path; `self_of` fills the entry's self values.
+template <typename Keep, typename SelfOf>
+std::vector<StageCounters> project_stages(const StageTracer& tracer,
+                                          Keep keep, SelfOf self_of) {
   std::vector<StageCounters> out;
-  for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-    for (const StageAccum& accum : lanes_[lane]->accum) {
-      StageCounters entry;
-      entry.path = accum.path;
-      entry.lane = static_cast<int>(lane);
-      entry.sections = accum.sections;
-      entry.self = accum.self;
-      out.push_back(std::move(entry));
-    }
+  std::vector<std::string> paths;  // paths[d]: path of the last depth-d node
+  for (const StageTracer::FlatStage& flat : tracer.flatten()) {
+    const auto depth = static_cast<std::size_t>(flat.depth);
+    const StageNode& node = *flat.node;
+    paths.resize(depth + 1);
+    paths[depth] =
+        depth == 0 ? node.name : paths[depth - 1] + ";" + node.name;
+    if (!keep(node)) continue;
+    StageCounters entry;
+    entry.path = paths[depth];
+    entry.lane = node.worker + 1;
+    entry.sections = node.calls;
+    entry.self = self_of(node);
+    out.push_back(std::move(entry));
   }
   std::sort(out.begin(), out.end(),
             [](const StageCounters& a, const StageCounters& b) {
@@ -188,24 +62,69 @@ std::vector<Profiler::StageCounters> Profiler::stages() const {
   return out;
 }
 
-CounterSample Profiler::total() const {
-  CounterSample sum;
-  for (const StageCounters& stage : stages()) {
-    sum.accumulate(stage.self);
+}  // namespace
+
+Profiler::Profiler(Options options) : opener_(std::move(options.opener)) {
+  // Probe the ladder once, on the constructing (driver) thread; the probe
+  // group becomes this thread's lane group.
+  CounterGroup probe = open_thread_counters(options.force, opener_);
+  tier_ = probe.tier();
+  if (tier_ == Tier::kDisabled) {
+    unavailable_reason_ = probe.unavailable_reason();
+    return;
   }
-  return sum;
+  if (Lane* lane = lanes_.slot(static_cast<std::size_t>(
+          std::max(obs::current_lane(), 0)))) {
+    lane->group = std::move(probe);
+    lane->open_attempted = true;
+  }
 }
 
-std::string Profiler::folded(std::string_view root) const {
-  return render_folded(root, stages(), tier_);
+bool Profiler::read(CounterSample& out) noexcept {
+  if (tier_ == Tier::kDisabled) return false;
+  Lane* lane =
+      lanes_.slot(static_cast<std::size_t>(std::max(obs::current_lane(), 0)));
+  if (lane == nullptr) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  if (!lane->open_attempted) {
+    // First read on this lane's thread: open its group here, because a
+    // perf group counts only the thread that opened it.
+    lane->open_attempted = true;
+    lane->group = open_thread_counters(pin_token(tier_), opener_);
+    if (!lane->group.enabled()) {
+      lanes_failed_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (!lane->group.enabled()) return false;
+  if (!lane->group.read(out)) {
+    // The group self-disabled (kernel read failure); spans it would have
+    // closed stay uncounted rather than inventing a tail.
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
+}
+
+std::vector<StageCounters> stage_counters(const StageTracer& tracer) {
+  return project_stages(
+      tracer, [](const StageNode& node) { return node.counted; },
+      [](const StageNode& node) {
+        CounterSample nested;
+        for (const auto& child : node.children) {
+          if (child->worker == node.worker) nested.accumulate(child->counters);
+        }
+        return node.counters.delta_since(nested);
+      });
 }
 
 std::string render_folded(std::string_view root,
-                          const std::vector<Profiler::StageCounters>& stages,
+                          const std::vector<StageCounters>& stages,
                           Tier tier) {
   std::vector<std::string> lines;
   lines.reserve(stages.size());
-  for (const Profiler::StageCounters& stage : stages) {
+  for (const StageCounters& stage : stages) {
     std::string line(root);
     if (stage.lane > 0) {
       line += ";w" + std::to_string(stage.lane - 1);
@@ -223,11 +142,22 @@ std::string render_folded(std::string_view root,
   return out;
 }
 
-std::string folded_from_tracer(std::string_view root,
-                               const StageTracer& tracer) {
-  std::vector<Profiler::StageCounters> stages;
-  folded_from_node(tracer.root(), std::string(), stages);
-  return render_folded(root, stages, Tier::kDisabled);
+std::string folded(std::string_view root, const StageTracer& tracer,
+                   Tier tier) {
+  if (tier != Tier::kDisabled) {
+    return render_folded(root, stage_counters(tracer), tier);
+  }
+  // Self wall nanos stand in for the missing counters.
+  return render_folded(
+      root,
+      project_stages(
+          tracer, [](const StageNode&) { return true; },
+          [](const StageNode& node) {
+            CounterSample self;
+            self.task_clock_nanos = node.self_nanos();
+            return self;
+          }),
+      Tier::kDisabled);
 }
 
 }  // namespace booterscope::obs::prof

@@ -1,35 +1,30 @@
 // Stage-scoped hardware-counter profiling across driver + pool lanes.
 //
-// A Profiler owns one CounterGroup per *lane* (lane 0 = driver thread,
-// lane w+1 = pool worker w — the same convention as TimelineRecorder, via
-// obs::timeline_lane()). StageTracer forwards every StageTimer enter/leave
-// here when attached, and exec::ThreadPool brackets each task, so counter
-// deltas are attributed to the innermost open section on the calling
-// thread's lane: classic self-time semantics, keyed by the ';'-joined
-// nesting path ("landscape_stream;day_shards").
-//
-// Threading contract mirrors the timeline: each lane has exactly one
-// writer thread (counter groups are per-thread by construction — a perf
-// group opened with pid=0 counts only its opening thread, so a worker's
-// group is opened lazily on that worker's first section). The read
-// surfaces (stages(), total(), folded(), …) are sequential, post-quiesce.
+// A Profiler owns one CounterGroup per lane (obs/lane.hpp: lane 0 the
+// driver, lane w+1 pool worker w), each opened lazily on its lane's first
+// read — a perf group opened with pid=0 counts only its opening thread.
+// Attached to a StageTracer, it is read at every StageTimer's open and
+// close, and the span log keeps both readings. Attribution is a projection
+// of that log: stage_counters() turns the stage tree's summed deltas into
+// per-(path, lane) self counters — a node minus its children on the same
+// lane, the same self rule as wall time — and folded() renders them as
+// flamegraph.pl input.
 //
 // The ladder verdict is probed once, in the constructor, on the calling
 // thread; worker lanes then open directly at the landed tier so every lane
-// measures the same fields. When the ladder lands on disabled, enter/leave
-// are no-ops and unavailable_reason() carries the explanation the ledger
+// measures the same fields. When the ladder lands on disabled, read() is a
+// no-op and unavailable_reason() carries the explanation the ledger
 // records as `prof_unavailable` — never fake zeros.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/lane.hpp"
 #include "obs/prof/perf_counters.hpp"
-#include "util/annotations.hpp"
 
 namespace booterscope::obs {
 class StageTracer;
@@ -40,8 +35,6 @@ namespace booterscope::obs::prof {
 class Profiler {
  public:
   struct Options {
-    /// Lane count: pool.size() + 1, lane 0 the driver. Minimum 1 enforced.
-    std::size_t lanes = 1;
     /// Degradation-ladder pin; see open_thread_counters(). Benches feed
     /// BOOTERSCOPE_PROF_FORCE through here.
     std::string force;
@@ -50,15 +43,14 @@ class Profiler {
   };
 
   explicit Profiler(Options options);
-  ~Profiler();
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Hot path, any registered lane's owning thread: opens/closes one
-  /// nesting section. Mismatched leave() (empty stack) is counted in
-  /// dropped(), not UB.
-  void enter(std::string_view name) noexcept;
-  void leave() noexcept;
+  /// Hot path, any thread: the cumulative counters of the calling thread's
+  /// lane, opening the lane's group on first use. False when the ladder is
+  /// disabled, the lane's group failed to open (lanes_failed()), or the
+  /// lane is out of range or the read failed (dropped()).
+  [[nodiscard]] bool read(CounterSample& out) noexcept;
 
   [[nodiscard]] bool available() const noexcept {
     return tier_ != Tier::kDisabled;
@@ -70,80 +62,58 @@ class Profiler {
     return unavailable_reason_;
   }
 
-  /// Accumulated self-counters for one nesting path on one lane.
-  struct StageCounters {
-    std::string path;  // ';'-joined stage nesting, e.g. "sim;day_shards"
-    int lane = 0;
-    std::uint64_t sections = 0;  // enter() count
-    CounterSample self;
-  };
-
-  /// Sequential (post-quiesce): per-(path, lane) self counters, sorted by
-  /// (path, lane) so export is deterministic whatever the interleaving.
-  [[nodiscard]] std::vector<StageCounters> stages() const;
-  /// Sum of all stage self counters.
-  [[nodiscard]] CounterSample total() const;
-
   /// Lanes whose group failed to open at the probed tier (worker-side
-  /// surprises; their sections are uncounted, not zero-counted).
+  /// surprises; their spans are uncounted, not zero-counted).
   [[nodiscard]] std::uint64_t lanes_failed() const noexcept {
     return lanes_failed_.load(std::memory_order_relaxed);
   }
-  /// Events discarded: out-of-range lane, unmatched leave, failed reads.
+  /// Reads refused: out-of-range lane or a failed kernel read.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// flamegraph.pl-compatible folded stacks, rooted at `root`: one line
-  /// per (path, lane), "root;path value\n", where value is cycles on the
-  /// hardware/reduced tiers and task-clock nanos on the software tier.
-  /// Worker lanes are tagged with a "w<N>" frame after the root.
-  [[nodiscard]] std::string folded(std::string_view root) const;
-
  private:
-  struct StageAccum {
-    std::string path;
-    std::uint64_t sections = 0;
-    CounterSample self;
-  };
-
   // One writer thread per lane; 64-byte alignment keeps lanes from false
-  // sharing through the owning vector.
+  // sharing.
   struct alignas(64) Lane {
     CounterGroup group;
     bool open_attempted = false;
-    CounterSample last;                // cumulative values at last boundary
-    std::vector<std::uint32_t> stack;  // open sections, indices into accum
-    std::vector<StageAccum> accum;
-    std::string path_scratch;  // reused per enter(); no steady-state allocs
   };
-
-  Lane* lane_for_caller() noexcept;
-  bool settle(Lane& lane) noexcept;  // read + attribute delta to stack top
 
   Tier tier_ = Tier::kDisabled;
   std::string unavailable_reason_;
-  std::string force_;
   CounterGroup::Opener opener_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  LaneTable<Lane> lanes_;
   std::atomic<std::uint64_t> lanes_failed_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  // Trips if the sequential read surface races the hot path (caller broke
-  // the post-quiesce contract).
-  mutable util::ConcurrencyGuard read_guard_;
 };
 
-/// Folded-stack rendering shared by Profiler::folded() and the tracer
-/// fallback: deterministic, sorted by line. `value_of` picks the sample
-/// field for the landed tier.
+/// Self counters for one nesting path on one lane.
+struct StageCounters {
+  std::string path;  // ';'-joined stage nesting, e.g. "sim;day_shards"
+  int lane = 0;
+  std::uint64_t sections = 0;  // closed spans
+  CounterSample self;
+};
+
+/// The profiled stages of a quiesced tracer, one entry per stage-tree node
+/// whose spans carried counter readings, sorted by (path, lane).
+[[nodiscard]] std::vector<StageCounters> stage_counters(
+    const StageTracer& tracer);
+
+/// Folded-stack rendering: one line per (path, lane), "root;path value\n",
+/// sorted by line. The value is cycles on the hardware/reduced tiers and
+/// task-clock nanos on the software tier. Worker lanes get a "w<N>" frame
+/// after the root.
 [[nodiscard]] std::string render_folded(
-    std::string_view root, const std::vector<Profiler::StageCounters>& stages,
+    std::string_view root, const std::vector<StageCounters>& stages,
     Tier tier);
 
-/// Wall-clock folded stacks from a quiesced StageTracer — the honest
-/// fallback when counters are unavailable: real measured nanos, labeled as
-/// such by the caller (the ledger still records prof_unavailable).
-[[nodiscard]] std::string folded_from_tracer(std::string_view root,
-                                             const StageTracer& tracer);
+/// Folded stacks of a quiesced tracer: counter-weighted from
+/// stage_counters() when `tier` measured, else the honest wall-clock
+/// fallback — every stage's measured self wall nanos (the ledger still
+/// records prof_unavailable).
+[[nodiscard]] std::string folded(std::string_view root,
+                                 const StageTracer& tracer, Tier tier);
 
 }  // namespace booterscope::obs::prof

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 #include "sim/landscape_detail.hpp"
 #include "util/time.hpp"
 
@@ -55,9 +56,6 @@ struct DayShardOutput {
   flow::FlowList tier2;
   std::vector<AttackRecord> attacks;
   std::vector<HoneypotObservation> honeypot_log;
-  int worker = -1;               // attribution only
-  std::int64_t begin_nanos = 0;  // monotonic begin/end, for the timeline
-  std::int64_t end_nanos = 0;
 
   [[nodiscard]] std::size_t flow_count() const noexcept {
     return ixp.size() + tier1.size() + tier2.size();
@@ -70,12 +68,14 @@ struct DayShardOutput {
 /// is >= config.start + d days (attacks launch within their day; the 1 h
 /// duration cap only spills *forward*), which is the invariant streaming
 /// sinks rely on to finalize earlier bins at day_complete barriers.
-/// Thread-safe: called concurrently for distinct `d`.
+/// Thread-safe: called concurrently for distinct `d`. Its stages open on
+/// the executing worker and nest under the driver's `day_shards`.
 void run_day_shard(const Internet& internet, const LandscapeConfig& config,
                    const ReflectorPools& pools,
                    const HoneypotDeployment& honeypots, std::size_t d,
-                   DayShardOutput& out) {
-  out.begin_nanos = util::monotonic_nanos();
+                   DayShardOutput& out, obs::StageTracer* tracer) {
+  obs::StageTimer shard_timer(tracer, "day_shard");
+  shard_timer.add_items_in(1);
   const util::Timestamp day =
       config.start + util::Duration::days(static_cast<std::int64_t>(d));
   const util::Timestamp next = day + util::Duration::days(1);
@@ -86,6 +86,9 @@ void run_day_shard(const Internet& internet, const LandscapeConfig& config,
   // the same profiles and per-service list seeds. Advancing start -> day
   // applies exactly d churn days (plus booter B's one-off list switch),
   // making list state a pure function of the day index.
+  std::optional<obs::StageTimer> phase;
+  phase.emplace(tracer, "market");
+  phase->add_items_in(d);  // churn days replayed
   util::Rng seed_rng(config.seed);
   util::Rng market_rng = seed_rng.fork("market");
   MarketRuntime market = build_market(internet, config, pools, market_rng);
@@ -95,9 +98,17 @@ void run_day_shard(const Internet& internet, const LandscapeConfig& config,
   }
 
   Context ctx(internet, config, util::Rng::split(config.seed, "context", d));
+  const auto flows = [&ctx] {
+    return ctx.ixp_flows.size() + ctx.tier1_flows.size() +
+           ctx.tier2_flows.size();
+  };
+  phase.emplace(tracer, "attacks");
   generate_attack_traffic(ctx, market, pools, honeypots, day, next, horizon,
                           util::Rng::split(config.seed, "attacks", d),
                           out.attacks, out.honeypot_log);
+  phase->add_items_out(flows());
+  std::size_t before = flows();
+  phase.emplace(tracer, "maintenance");
   for (std::size_t b = 0; b < market.services.size(); ++b) {
     // Per-(day, booter) stream: the cell index packs both so adding a
     // booter never shifts another cell's stream.
@@ -107,14 +118,18 @@ void run_day_shard(const Internet& internet, const LandscapeConfig& config,
     generate_maintenance_booter_day(ctx, market, b, day, config.takedown,
                                     cell);
   }
+  phase->add_items_out(flows() - before);
+  before = flows();
+  phase.emplace(tracer, "benign");
   generate_benign_traffic(ctx, pools, day, next,
                           util::Rng::split(config.seed, "benign", d));
+  phase->add_items_out(flows() - before);
+  phase.reset();
 
   out.ixp = std::move(ctx.ixp_flows);
   out.tier1 = std::move(ctx.tier1_flows);
   out.tier2 = std::move(ctx.tier2_flows);
-  out.worker = exec::ThreadPool::current_worker();
-  out.end_nanos = util::monotonic_nanos();
+  shard_timer.add_items_out(out.flow_count());
 }
 
 }  // namespace
@@ -123,23 +138,22 @@ void run_day_shard(const Internet& internet, const LandscapeConfig& config,
 namespace {
 
 /// Pushes one vantage's day flows through the reused batch, flushing full
-/// batches and the trailing partial. Returns rows delivered.
+/// batches and the trailing partial into the sink (each delivery an
+/// `analysis` stage). Returns rows delivered.
 std::uint64_t drain_list(flow::FlowBatch& batch, flow::FlowBatchSink& sink,
                          std::size_t vantage, const flow::FlowList& flows,
-                         std::uint64_t& batches) {
-  for (const flow::FlowRecord& f : flows) {
-    batch.push_back(f);
-    if (batch.full()) {
-      sink.consume(vantage, batch.view());
-      batch.clear();
-      ++batches;
-    }
-  }
-  if (!batch.empty()) {
+                         std::uint64_t& batches, obs::StageTracer* tracer) {
+  const auto deliver = [&] {
+    const obs::StageTimer timer(tracer, "analysis");
     sink.consume(vantage, batch.view());
     batch.clear();
     ++batches;
+  };
+  for (const flow::FlowRecord& f : flows) {
+    batch.push_back(f);
+    if (batch.full()) deliver();
   }
+  if (!batch.empty()) deliver();
   return flows.size();
 }
 
@@ -194,24 +208,10 @@ StreamSummary run_landscape_stream(const Internet& internet,
       timer.add_items_in(count);
       pool.parallel_for(count, [&](std::size_t i) {
         detail::run_day_shard(internet, config, shared.pools, shared.honeypots,
-                              wave_start + i, shards[i]);
+                              wave_start + i, shards[i], tracer);
       });
       for (const detail::DayShardOutput& shard : shards) {
         timer.add_items_out(shard.flow_count());
-      }
-      if (tracer != nullptr) {
-        obs::TimelineRecorder* timeline = tracer->timeline();
-        for (const detail::DayShardOutput& shard : shards) {
-          tracer->add_completed(
-              "day_shard", shard.worker,
-              static_cast<std::uint64_t>(shard.end_nanos - shard.begin_nanos),
-              1, 1, shard.flow_count(), 0);
-          if (timeline != nullptr && shard.worker >= 0) {
-            timeline->add_completed_span(
-                static_cast<std::size_t>(shard.worker) + 1, "day_shard",
-                "shard", shard.begin_nanos, shard.end_nanos);
-          }
-        }
       }
     }
     {
@@ -223,22 +223,25 @@ StreamSummary run_landscape_stream(const Internet& internet,
         drained += shard.flow_count();
         summary.vantage_flows[flow::kVantageIxp] +=
             drain_list(batch, sink, flow::kVantageIxp, shard.ixp,
-                       summary.batches);
+                       summary.batches, tracer);
         summary.vantage_flows[flow::kVantageTier1] +=
             drain_list(batch, sink, flow::kVantageTier1, shard.tier1,
-                       summary.batches);
+                       summary.batches, tracer);
         summary.vantage_flows[flow::kVantageTier2] +=
             drain_list(batch, sink, flow::kVantageTier2, shard.tier2,
-                       summary.batches);
+                       summary.batches, tracer);
         summary.attack_count += shard.attacks.size();
         summary.honeypot_observations += shard.honeypot_log.size();
         if (truth != nullptr) {
           truth->on_attacks(shard.attacks);
           truth->on_honeypot_log(shard.honeypot_log);
         }
-        sink.day_complete(
-            static_cast<int>(d),
-            config.start + util::Duration::days(static_cast<std::int64_t>(d)));
+        {
+          const obs::StageTimer analysis(tracer, "analysis");
+          sink.day_complete(static_cast<int>(d),
+                            config.start + util::Duration::days(
+                                               static_cast<std::int64_t>(d)));
+        }
         // Free the shard before draining the next one: the memory bound is
         // the wave itself, not the whole run.
         shard = detail::DayShardOutput{};
@@ -248,6 +251,10 @@ StreamSummary run_landscape_stream(const Internet& internet,
     }
   }
 
+  // Tasks finish their pool bookkeeping (the traced task records) after
+  // their last body returned; let them retire so the caller may read the
+  // tracer, or destroy it, as soon as this returns.
+  pool.wait_idle();
   obs::metrics()
       .counter("booterscope_landscape_attacks_total")
       .add(summary.attack_count);

@@ -15,10 +15,14 @@
 // analysis nothing. Mutex/MutexLock/CondVar are the annotated equivalents;
 // locked classes (exec::ThreadPool, obs::MetricsRegistry) hold these.
 //
-// Classes that are thread-compartmented rather than locked (FlowCollector,
-// StageTracer: one owner at a time, sequential hand-off between pool tasks
-// is legal) use ConcurrencyGuard — a cheap dynamic tripwire that aborts on
-// concurrent entry instead of corrupting the conservation ledger silently.
+// Classes that are thread-compartmented rather than locked use
+// ConcurrencyGuard — a cheap dynamic tripwire that aborts on concurrent
+// entry instead of corrupting the conservation ledger silently:
+// FlowCollector (one owner at a time, sequential hand-off between pool
+// tasks is legal) and each lane of StageTracer's span log (every thread
+// writes only its own lane, so the guard trips when two threads share one,
+// e.g. two pools feeding one tracer; the projections are read once the
+// pool is idle).
 #pragma once
 
 #include <atomic>

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 
 namespace booterscope::exec {
 namespace {
@@ -139,38 +139,45 @@ TEST(ThreadPool, PerWorkerBusyGaugesAreRegisteredAndUpdated) {
 }
 #endif
 
-TEST(ThreadPool, AttachedTimelineReceivesOneTaskSpanPerExecution) {
-  obs::TimelineRecorder recorder(5);  // driver + up to 4 workers
+// A traced submitter (one with a stage open) gets one task record per
+// execution on the executing worker's lane, plus a steal instant per
+// steal; untraced submissions record nothing, and tasks never enter the
+// stage tree.
+TEST(ThreadPool, TracedSubmitterGetsOneTaskRecordPerExecution) {
+  obs::StageTracer tracer;
   ThreadPool pool(4);
-  pool.attach_timeline(&recorder);
   constexpr int kTasks = 50;
   std::atomic<int> ran{0};
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  {
+    obs::StageTimer submitter(tracer, "submit");
+    for (int i = 0; i < kTasks; ++i) {
+      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    pool.wait_idle();
   }
+  pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
-  pool.attach_timeline(nullptr);
-  EXPECT_EQ(ran.load(), kTasks);
-#ifndef BOOTERSCOPE_NO_METRICS
-  std::size_t task_spans = 0;
-  EXPECT_EQ(recorder.lane_events(0).size(), 0u) << "driver lane must be idle";
-  for (std::size_t lane = 1; lane < 5; ++lane) {
-    for (const obs::TimelineEvent& event : recorder.lane_events(lane)) {
-      if (event.kind == obs::TimelineEvent::Kind::kSpan) {
-        EXPECT_EQ(event.category, "task");
-        EXPECT_LE(event.begin_nanos, event.end_nanos);
-        ++task_spans;
+  EXPECT_EQ(ran.load(), kTasks + 1);
+
+  ASSERT_EQ(tracer.spans(0).size(), 1u) << "driver lane holds the stage only";
+  EXPECT_LE(tracer.lane_count(), 5u);
+  std::size_t task_records = 0;
+  for (std::size_t lane = 1; lane < tracer.lane_count(); ++lane) {
+    for (const obs::SpanRecord& record : tracer.spans(lane)) {
+      if (record.kind == obs::SpanKind::kTask) {
+        EXPECT_EQ(record.name, "task");
+        EXPECT_LE(record.begin_nanos, record.end_nanos);
+        ++task_records;
       } else {
-        EXPECT_EQ(event.kind, obs::TimelineEvent::Kind::kInstant);
-        EXPECT_EQ(event.name, "steal");
+        EXPECT_EQ(record.kind, obs::SpanKind::kInstant);
+        EXPECT_EQ(record.name, "steal");
       }
     }
   }
-  EXPECT_EQ(task_spans, static_cast<std::size_t>(kTasks));
-  EXPECT_EQ(recorder.dropped(), 0u);
-#else
-  EXPECT_EQ(recorder.event_count(), 0u);
-#endif
+  EXPECT_EQ(task_records, static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(tracer.dropped(), 0u);
+  ASSERT_EQ(tracer.root().children.size(), 1u);
+  EXPECT_TRUE(tracer.root().children[0]->children.empty());
 }
 
 TEST(ThreadPool, StealCountersAccumulate) {

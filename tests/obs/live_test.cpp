@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 #include "util/time.hpp"
 
 namespace booterscope::obs::live {
@@ -167,15 +167,15 @@ TEST(Watchdog, ExportToTimelineEmitsDetectionAndRecoveryInstants) {
   beat->store(3 * kSecond);
   watchdog.check(4 * kSecond);
 
-  TimelineRecorder timeline(1);
-  timeline.set_epoch_nanos(0);
-  watchdog.export_to_timeline(timeline);
-  const std::string json = timeline.to_chrome_json();
-#ifndef BOOTERSCOPE_NO_METRICS
-  EXPECT_NE(json.find("stall:heartbeat:pool"), std::string::npos) << json;
+  StageTracer tracer;
+  watchdog.export_to_timeline(tracer);
+  const std::string json = tracer.chrome_trace_json(0);
+  EXPECT_NE(json.find("\"name\":\"stall:heartbeat:pool\",\"cat\":\"instant\""),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("stall_recovered:heartbeat:pool"), std::string::npos)
       << json;
-#endif
+  EXPECT_TRUE(tracer.root().children.empty());
 }
 
 TEST(ResourceSampler, SampleNowFillsRingChronologically) {
@@ -283,20 +283,17 @@ TEST(ResourceSampler, ExportToTimelineEmitsOneTrackPerSeries) {
   sampler.sample_now();
   sampler.sample_now();
 
-  TimelineRecorder timeline(1);
-  timeline.set_epoch_nanos(0);
-  sampler.export_to_timeline(timeline);
-  const std::string json = timeline.to_chrome_json();
-#ifndef BOOTERSCOPE_NO_METRICS
+  StageTracer tracer;
+  sampler.export_to_timeline(tracer);
+  const std::string json = tracer.chrome_trace_json(0);
   EXPECT_NE(json.find("booterscope_live_rss_bytes"), std::string::npos);
   EXPECT_NE(json.find("booterscope_live_cpu_seconds"), std::string::npos);
   EXPECT_NE(json.find("booterscope_live_pool_queue_depth"),
             std::string::npos);
   EXPECT_NE(json.find("booterscope_live_fixture_total"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-#else
-  EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos);
-#endif
+  // Two samples x five series, all counter records on the driver lane.
+  EXPECT_EQ(tracer.spans(0).size(), 10u);
 }
 
 }  // namespace

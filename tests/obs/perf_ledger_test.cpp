@@ -43,30 +43,65 @@ TEST(PerfLedger, EmitsTheLedgerSchemaWithIdentityAndHeadlines) {
   EXPECT_NE(json.find("\"git_describe\":"), std::string::npos);
 }
 
+/// One closed stage record with synthetic timestamps under `parent`.
+SpanRecord stage(std::string name, std::int64_t begin, std::int64_t end,
+                 SpanRef parent = {}) {
+  SpanRecord record;
+  record.name = std::move(name);
+  record.parent = parent;
+  record.begin_nanos = begin;
+  record.end_nanos = end;
+  return record;
+}
+
 TEST(PerfLedger, StageBreakdownComputesSelfFromChildren) {
-  StageTracer tracer;
-  {
-    StageTimer outer(tracer, "outer");
-    { StageTimer inner(tracer, "inner"); }
-  }
-  // Overwrite the measured walls with known values through add_completed
-  // into a fresh tracer: outer 100ms total with a 30ms child leaves 70ms
-  // self; leaf self == total.
+  // Known walls through the log's completed-record append: outer 100ms
+  // total with a 30ms child leaves 70ms self; leaf self == total.
   StageTracer fixed;
-  fixed.add_completed("outer", -1, 100'000'000, 1, 0, 0, 0);
-  {
-    // Descend into outer so the child lands underneath it.
-    StageTimer outer(fixed, "outer");
-    fixed.add_completed("inner", -1, 30'000'000, 1, 0, 0, 0);
-  }
+  const SpanRef outer = fixed.append(0, stage("outer", 0, 100'000'000));
+  fixed.append(0, stage("inner", 10'000'000, 40'000'000, outer));
 
   PerfLedger ledger("bench_unit");
   ledger.set_stages(fixed);
   const std::string json = ledger.to_json();
-  EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"inner\",\"depth\":1"), std::string::npos)
+  EXPECT_NE(json.find("\"name\":\"outer\",\"depth\":0,\"total_seconds\":0.1,"
+                      "\"self_seconds\":0.07"),
+            std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"self_seconds\":0.03"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"inner\",\"depth\":1,\"total_seconds\":0.03,"
+                      "\"self_seconds\":0.03"),
+            std::string::npos)
+      << json;
+}
+
+// Self time subtracts only children on the parent's own lane. Pool-4 shape:
+// the driver's day_shards (100ms) fans out to four overlapping 95ms worker
+// shards; its self time is its whole driver-lane wall,
+// and no stage's self exceeds its total.
+TEST(PerfLedger, WorkerChildrenOverlapRatherThanNestInSelfTime) {
+  StageTracer tracer;
+  const SpanRef shards = tracer.append(0, stage("day_shards", 0, 100'000'000));
+  for (std::size_t lane = 1; lane <= 4; ++lane) {
+    const SpanRef shard =
+        tracer.append(lane, stage("day_shard", 0, 95'000'000, shards));
+    tracer.append(lane, stage("market", 0, 60'000'000, shard));
+  }
+  tracer.append(0, stage("drain", 100'000'000, 120'000'000));
+
+  PerfLedger ledger("bench_unit");
+  ledger.set_stages(tracer);
+  const std::string json = ledger.to_json();
+  EXPECT_NE(json.find("\"name\":\"day_shards\",\"depth\":0,"
+                      "\"total_seconds\":0.1,\"self_seconds\":0.1"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"day_shard\",\"depth\":1,\"worker\":3,"
+                      "\"total_seconds\":0.095,\"self_seconds\":0.035"),
+            std::string::npos)
+      << json;
+  for (const auto& flat : tracer.flatten()) {
+    EXPECT_LE(flat.node->self_nanos(), flat.node->wall_nanos);
+  }
 }
 
 TEST(PerfLedger, PoolStatsRenderUtilizationAgainstWall) {

@@ -1,9 +1,10 @@
 // Unit tests for obs::prof: the perf_event_open degradation ladder (with
 // injected kernel refusals — CI containers are exactly the environment the
-// ladder exists for), per-lane stage attribution in Profiler, and the
-// folded-stack renderings. Counter *values* are asserted only where the
-// software tier is genuinely available; everything structural (paths,
-// sections, lanes, ordering, honesty on failure) is deterministic.
+// ladder exists for), per-lane counter reads, the stage attribution
+// projected from the span log, and the folded-stack renderings. Counter
+// *values* are asserted only where the software tier is genuinely
+// available; everything structural (paths, sections, lanes, ordering,
+// honesty on failure) is deterministic.
 #include "obs/prof/profiler.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/lane.hpp"
 #include "obs/prof/perf_counters.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
 namespace booterscope::obs::prof {
@@ -120,25 +121,36 @@ TEST(CounterLadder, SoftwareTierCountsTaskClockWhereAvailable) {
   EXPECT_EQ(sample.cache_misses, 0u);
 }
 
+/// One closed stage record with synthetic timestamps under `parent`.
+SpanRecord stage(std::string name, std::int64_t begin, std::int64_t end,
+                 SpanRef parent = {}) {
+  SpanRecord record;
+  record.name = std::move(name);
+  record.parent = parent;
+  record.begin_nanos = begin;
+  record.end_nanos = end;
+  return record;
+}
+
 TEST(Profiler, DisabledLadderIsInertAndCarriesTheReason) {
   Profiler::Options options;
-  options.lanes = 2;
   options.opener = refuse_all(EACCES);
   Profiler profiler(std::move(options));
   EXPECT_FALSE(profiler.available());
   EXPECT_NE(profiler.unavailable_reason().find("EACCES"), std::string::npos);
-  // enter/leave are no-ops, not crashes, and record nothing.
-  profiler.enter("sim");
-  profiler.leave();
-  profiler.leave();  // unmatched on purpose
-  EXPECT_TRUE(profiler.stages().empty());
+  // Reads are refusals, not crashes, and spans stay uncounted.
+  CounterSample sample;
+  EXPECT_FALSE(profiler.read(sample));
+  StageTracer tracer;
+  tracer.set_profiler(&profiler);
+  { StageTimer sim(tracer, "sim"); }
+  EXPECT_FALSE(tracer.spans(0)[0].counted);
+  EXPECT_TRUE(stage_counters(tracer).empty());
   EXPECT_EQ(profiler.dropped(), 0u);  // disabled short-circuits before drops
-  EXPECT_TRUE(profiler.folded("fig4").empty());
 }
 
 TEST(Profiler, AttributesNestedSectionsByPathOnTheSoftwareTier) {
   Profiler::Options options;
-  options.lanes = 1;
   options.force = "software";
   Profiler profiler(std::move(options));
   if (!profiler.available()) {
@@ -147,18 +159,22 @@ TEST(Profiler, AttributesNestedSectionsByPathOnTheSoftwareTier) {
   }
   EXPECT_EQ(profiler.tier(), Tier::kSoftware);
 
-  profiler.enter("landscape");
-  profiler.enter("day_shards");
-  volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 1'000'000; ++i) sink = sink + static_cast<std::uint64_t>(i);
-  profiler.leave();
-  profiler.enter("merge");
-  profiler.leave();
-  profiler.enter("merge");  // same path again: one accumulator, sections=2
-  profiler.leave();
-  profiler.leave();
+  StageTracer tracer;
+  tracer.set_profiler(&profiler);
+  {
+    StageTimer landscape(tracer, "landscape");
+    {
+      StageTimer shards(tracer, "day_shards");
+      volatile std::uint64_t sink = 0;
+      for (int i = 0; i < 1'000'000; ++i) {
+        sink = sink + static_cast<std::uint64_t>(i);
+      }
+    }
+    { StageTimer merge(tracer, "merge"); }
+    { StageTimer merge(tracer, "merge"); }  // same path again: sections=2
+  }
 
-  const std::vector<Profiler::StageCounters> stages = profiler.stages();
+  const std::vector<StageCounters> stages = stage_counters(tracer);
   ASSERT_EQ(stages.size(), 3u);
   // Sorted by (path, lane): nesting paths are ';'-joined.
   EXPECT_EQ(stages[0].path, "landscape");
@@ -167,72 +183,90 @@ TEST(Profiler, AttributesNestedSectionsByPathOnTheSoftwareTier) {
   EXPECT_EQ(stages[0].sections, 1u);
   EXPECT_EQ(stages[1].sections, 1u);
   EXPECT_EQ(stages[2].sections, 2u);
-  for (const auto& stage : stages) EXPECT_EQ(stage.lane, 0);
+  for (const auto& entry : stages) EXPECT_EQ(entry.lane, 0);
   // The busy inner section accumulated real task-clock self time.
   EXPECT_GT(stages[1].self.task_clock_nanos, 0u);
-
-  // total() is the sum of the per-stage self values.
-  CounterSample sum;
-  for (const auto& stage : stages) sum.accumulate(stage.self);
-  EXPECT_EQ(profiler.total().task_clock_nanos, sum.task_clock_nanos);
   EXPECT_EQ(profiler.dropped(), 0u);
   EXPECT_EQ(profiler.lanes_failed(), 0u);
 }
 
 TEST(Profiler, WorkerLaneOpensLazilyAndTagsItsStages) {
   Profiler::Options options;
-  options.lanes = 2;  // driver + one worker
   options.force = "software";
   Profiler profiler(std::move(options));
   if (!profiler.available()) {
     GTEST_SKIP() << "software tier unavailable here: "
                  << profiler.unavailable_reason();
   }
+  StageTracer tracer;
+  tracer.set_profiler(&profiler);
 
   // A perf group counts only the thread that opened it, so the worker lane
   // must run on its own thread, exactly like a pool worker would.
-  std::thread worker([&profiler] {
-    obs::set_timeline_lane(1);
-    profiler.enter("task");
+  std::thread worker([&tracer] {
+    obs::set_current_lane(1);
+    StageTimer task(tracer, "task");
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < 500'000; ++i) sink = sink + 1;
-    profiler.leave();
   });
   worker.join();
 
-  const std::vector<Profiler::StageCounters> stages = profiler.stages();
+  const std::vector<StageCounters> stages = stage_counters(tracer);
   ASSERT_EQ(stages.size(), 1u);
   EXPECT_EQ(stages[0].path, "task");
   EXPECT_EQ(stages[0].lane, 1);
   EXPECT_EQ(profiler.lanes_failed(), 0u);
 }
 
-TEST(Profiler, OutOfRangeLaneAndUnmatchedLeaveCountAsDropped) {
+TEST(Profiler, OutOfRangeLaneCountsAsDropped) {
   Profiler::Options options;
-  options.lanes = 1;
   options.force = "software";
   Profiler profiler(std::move(options));
   if (!profiler.available()) {
     GTEST_SKIP() << "software tier unavailable here: "
                  << profiler.unavailable_reason();
   }
-  obs::set_timeline_lane(7);  // no such lane
-  profiler.enter("lost");
-  profiler.leave();
-  obs::set_timeline_lane(0);
-  profiler.leave();  // unmatched: empty stack on a real lane
-  EXPECT_EQ(profiler.dropped(), 3u);
-  EXPECT_TRUE(profiler.stages().empty());
+  obs::set_current_lane(static_cast<int>(LaneTable<int>::kMaxLanes));
+  CounterSample sample;
+  EXPECT_FALSE(profiler.read(sample));
+  obs::set_current_lane(0);
+  EXPECT_TRUE(profiler.read(sample));
+  EXPECT_EQ(profiler.dropped(), 1u);
+}
+
+// Counter self values follow the wall-time rule: a node minus its children
+// on the same lane; a worker-lane child overlaps its parent instead.
+TEST(StageCounters, SelfSubtractsOnlySameLaneChildren) {
+  const auto counted = [](SpanRecord record, std::uint64_t from,
+                          std::uint64_t to) {
+    record.counted = true;
+    record.counters_begin.cycles = from;
+    record.counters_end.cycles = to;
+    return record;
+  };
+  StageTracer tracer;
+  const SpanRef outer =
+      tracer.append(0, counted(stage("outer", 0, 100), 0, 1000));
+  tracer.append(0, counted(stage("inner", 10, 40, outer), 100, 400));
+  tracer.append(2, counted(stage("shard", 0, 90, outer), 5000, 5900));
+  tracer.append(0, stage("unprofiled", 100, 120));
+
+  const std::vector<StageCounters> stages = stage_counters(tracer);
+  ASSERT_EQ(stages.size(), 3u);
+  EXPECT_EQ(render_folded("fig4", stages, Tier::kFull),
+            "fig4;outer 700\n"
+            "fig4;outer;inner 300\n"
+            "fig4;w1;outer;shard 900\n");
 }
 
 TEST(RenderFolded, FormatsLanesAndSortsLines) {
-  std::vector<Profiler::StageCounters> stages;
-  Profiler::StageCounters driver;
+  std::vector<StageCounters> stages;
+  StageCounters driver;
   driver.path = "sim;merge";
   driver.lane = 0;
   driver.self.cycles = 123;
   stages.push_back(driver);
-  Profiler::StageCounters worker;
+  StageCounters worker;
   worker.path = "task";
   worker.lane = 2;  // pool worker 1
   worker.self.cycles = 456;
@@ -253,26 +287,20 @@ TEST(RenderFolded, FormatsLanesAndSortsLines) {
 }
 
 TEST(FoldedFromTracer, RendersClampedSelfWallNanos) {
+  // Without counters the folded stacks carry self wall nanos from the same
+  // projection: outer 100ms total with a 30ms same-lane child is 70ms
+  // self; a worker-lane child (w1) overlaps rather than nests, so it is not
+  // subtracted and gets its own frame.
   StageTracer tracer;
-  // outer 100ms total with a 30ms child: outer's self is 70ms; the child
-  // keeps its full 30ms. Worker-attributed stages get the w<N> frame.
-  tracer.add_completed("outer", -1, 100'000'000, 1, 0, 0, 0);
-  {
-    StageTimer descend(tracer, "outer");
-    tracer.add_completed("inner", -1, 30'000'000, 1, 0, 0, 0);
-  }
-  const std::string folded = folded_from_tracer("fig4", tracer);
-  // inner never re-opened, so its value is exact.
-  EXPECT_NE(folded.find("fig4;outer;inner 30000000\n"), std::string::npos)
-      << folded;
-  // The descent timer itself added a few real nanos to outer's total, so
-  // bound its self value instead of matching digits.
-  const std::size_t pos = folded.find("fig4;outer ");
-  ASSERT_NE(pos, std::string::npos) << folded;
-  const std::uint64_t outer_self =
-      std::stoull(folded.substr(pos + std::string("fig4;outer ").size()));
-  EXPECT_GE(outer_self, 70'000'000u) << folded;
-  EXPECT_LT(outer_self, 80'000'000u) << folded;
+  const SpanRef outer = tracer.append(0, stage("outer", 0, 100'000'000));
+  tracer.append(0, stage("inner", 10'000'000, 40'000'000, outer));
+  tracer.append(2, stage("shard", 0, 90'000'000, outer));
+  EXPECT_EQ(folded("fig4", tracer, Tier::kDisabled),
+            "fig4;outer 70000000\n"
+            "fig4;outer;inner 30000000\n"
+            "fig4;w1;outer;shard 90000000\n");
+  // A measuring tier renders only counted spans: none here.
+  EXPECT_EQ(folded("fig4", tracer, Tier::kSoftware), "");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "core/takedown.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/trace.hpp"
 
 namespace booterscope::sim {
 namespace {
@@ -212,6 +213,62 @@ TEST(LandscapeWindows, VantageWindowsFilterExports) {
     before_window |= f.first < config.tier1_window->start;
   }
   EXPECT_TRUE(before_window);
+}
+
+// Stages opened on the workers inside a day shard nest under the driver's
+// `day_shards`, each on its worker's lane, and self time subtracts only
+// same-lane children: at pool 4 the driver's `day_shards` has no driver
+// children, so its self time is its whole wall.
+TEST(LandscapeStages, ShardStagesNestOnWorkersWithPerLaneSelfTime) {
+  Internet internet{InternetConfig{}};
+  LandscapeConfig config;
+  config.start = Timestamp::parse("2018-11-01").value();
+  config.days = 9;
+  config.takedown = std::nullopt;
+  config.attacks_per_day = 20.0;
+  exec::ThreadPool pool(4);
+  obs::StageTracer tracer;
+  (void)run_landscape(internet, config, pool, &tracer);
+
+  const obs::StageNode& root = tracer.root();
+  ASSERT_EQ(root.children.size(), 1u);
+  const obs::StageNode& stream = *root.children[0];
+  ASSERT_EQ(stream.name, "landscape_stream");
+  ASSERT_EQ(stream.children.size(), 2u);
+  const obs::StageNode& shards = *stream.children[0];
+  const obs::StageNode& drain = *stream.children[1];
+  ASSERT_EQ(shards.name, "day_shards");
+  ASSERT_EQ(drain.name, "drain");
+  EXPECT_EQ(shards.worker, -1);
+  EXPECT_GT(shards.wall_nanos, 0u);
+  EXPECT_EQ(shards.self_nanos(), shards.wall_nanos);
+
+  std::uint64_t shard_calls = 0;
+  for (const auto& shard : shards.children) {
+    EXPECT_EQ(shard->name, "day_shard");
+    EXPECT_GE(shard->worker, 0);
+    shard_calls += shard->calls;
+    ASSERT_EQ(shard->children.size(), 4u);
+    const char* const phases[] = {"market", "attacks", "maintenance",
+                                  "benign"};
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(shard->children[i]->name, phases[i]);
+      EXPECT_EQ(shard->children[i]->worker, shard->worker);
+      EXPECT_EQ(shard->children[i]->calls, shard->calls);
+    }
+  }
+  EXPECT_EQ(shard_calls, 9u);
+
+  ASSERT_EQ(drain.children.size(), 1u);
+  EXPECT_EQ(drain.children[0]->name, "analysis");
+  EXPECT_EQ(drain.children[0]->worker, -1);
+  // One delivery per batch, one barrier per day.
+  EXPECT_GE(drain.children[0]->calls, 9u + 9u);
+
+  for (const auto& flat : tracer.flatten()) {
+    EXPECT_LE(flat.node->self_nanos(), flat.node->wall_nanos)
+        << flat.node->name;
+  }
 }
 
 TEST(LandscapePaperConfig, MatchesStudyParameters) {

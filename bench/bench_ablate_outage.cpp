@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
                              &tally, "outage-sweep", fault_seed);
   bench::write_perf_ledger("ablate_outage", cfg, &world.tracer, &world.pool,
                            world.run_wall_nanos, world.result_items(),
-                           "outage-sweep", fault_seed, world.sampler.get());
+                           world.result.work, "outage-sweep", fault_seed,
+                           world.sampler.get());
   bench::write_timeline("ablate_outage", world.tracer, world.write_trace,
                         world.sampler.get(), world.watchdog.get());
   return 0;

@@ -300,8 +300,8 @@ void StreamWorld::write_observability(const std::string& experiment_id,
   bench::write_observability(experiment_id, config, &tracer, pool.size(),
                              &integrity, fault_profile_name, fault_seed);
   bench::write_perf_ledger(experiment_id, config, &tracer, &pool,
-                           run_wall_nanos, items, fault_profile_name,
-                           fault_seed, sampler.get(), profiler.get(),
+                           run_wall_nanos, items, summary.work,
+                           fault_profile_name, fault_seed, sampler.get(), profiler.get(),
                            {{"stream_batch", std::to_string(stream_batch)}});
   bench::write_folded_profile(experiment_id, profiler.get(), &tracer,
                               server.get());
@@ -437,7 +437,8 @@ void write_perf_ledger(
     const std::string& experiment_id, const sim::LandscapeConfig& config,
     const obs::StageTracer* tracer, const exec::ThreadPool* pool,
     std::uint64_t run_wall_nanos, std::uint64_t items,
-    const std::string& fault_profile, std::uint64_t fault_seed,
+    const sim::EngineWork& work, const std::string& fault_profile,
+    std::uint64_t fault_seed,
     const obs::live::ResourceSampler* sampler,
     const obs::prof::Profiler* profiler,
     const std::vector<std::pair<std::string, std::string>>& extra_config) {
@@ -461,6 +462,8 @@ void write_perf_ledger(
   }
   ledger.set_wall_nanos(run_wall_nanos);
   ledger.set_items(items);
+  ledger.add_work("market_builds", work.market_builds);
+  ledger.add_work("churn_days", work.churn_days);
   if (tracer != nullptr) ledger.set_stages(*tracer);
   if (pool != nullptr) {
     std::vector<std::uint64_t> busy;
@@ -570,6 +573,7 @@ void write_perf_ledger(
   (void)pool;
   (void)run_wall_nanos;
   (void)items;
+  (void)work;
   (void)fault_profile;
   (void)fault_seed;
   (void)sampler;

@@ -155,9 +155,10 @@ void write_observability(const std::string& experiment_id,
 /// Writes BENCH_<id>.json — the perf ledger tools/benchdiff compares
 /// against the committed baselines in bench/baselines/. `items` is the
 /// run's deterministic output count (attacks + stored flows): exact-match
-/// comparable across machines whenever the config identity matches.
-/// No-op under BOOTERSCOPE_NO_METRICS (so a metrics-free build never
-/// emits half-empty ledgers that would trip the differ).
+/// comparable across machines whenever the config identity matches, and
+/// so is `work`, the engine's deterministic work counters (the ledger's
+/// `work` block). No-op under BOOTERSCOPE_NO_METRICS (so a metrics-free
+/// build never emits half-empty ledgers that would trip the differ).
 /// `extra_config` appends additional identity pairs after the standard
 /// ones (StreamWorld records its batch size; benchdiff excludes it from
 /// identity since it does not change the output bytes). A non-null
@@ -173,7 +174,8 @@ void write_perf_ledger(
     const std::string& experiment_id, const sim::LandscapeConfig& config,
     const obs::StageTracer* tracer, const exec::ThreadPool* pool,
     std::uint64_t run_wall_nanos, std::uint64_t items,
-    const std::string& fault_profile = "none", std::uint64_t fault_seed = 0,
+    const sim::EngineWork& work, const std::string& fault_profile = "none",
+    std::uint64_t fault_seed = 0,
     const obs::live::ResourceSampler* sampler = nullptr,
     const obs::prof::Profiler* profiler = nullptr,
     const std::vector<std::pair<std::string, std::string>>& extra_config = {});
@@ -273,7 +275,7 @@ struct LandscapeWorld {
                                pool.size(), &integrity, fault_profile_name,
                                fault_seed);
     bench::write_perf_ledger(experiment_id, result.config, &tracer, &pool,
-                             run_wall_nanos, result_items(),
+                             run_wall_nanos, result_items(), result.work,
                              fault_profile_name, fault_seed, sampler.get(),
                              profiler.get());
     bench::write_folded_profile(experiment_id, profiler.get(), &tracer,

@@ -40,6 +40,10 @@ void PerfLedger::add_config(std::string_view key, std::uint64_t value) {
   config_.emplace_back(std::string(key), std::to_string(value));
 }
 
+void PerfLedger::add_work(std::string_view key, std::uint64_t value) {
+  work_.emplace_back(std::string(key), value);
+}
+
 void PerfLedger::set_stages(const StageTracer& tracer) {
   stages_.clear();
   for (const StageTracer::FlatStage& flat : tracer.flatten()) {
@@ -88,6 +92,14 @@ std::string PerfLedger::to_json() const {
   out += ",\"items_per_second\":" +
          (wall > 0.0 ? json_number(static_cast<double>(items_) / wall)
                      : std::string("0"));
+  if (!work_.empty()) {
+    out += ",\"work\":{";
+    for (std::size_t i = 0; i < work_.size(); ++i) {
+      if (i > 0) out.push_back(',');
+      out += json_string(work_[i].first) + ":" + json_number(work_[i].second);
+    }
+    out.push_back('}');
+  }
   out += ",\"stages\":[";
   for (std::size_t i = 0; i < stages_.size(); ++i) {
     const Stage& stage = stages_[i];

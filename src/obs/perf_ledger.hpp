@@ -64,6 +64,12 @@ class PerfLedger {
   void set_wall_nanos(std::uint64_t nanos) noexcept { wall_nanos_ = nanos; }
   void set_items(std::uint64_t items) noexcept { items_ = items; }
 
+  /// Deterministic work counters (market builds, churn days, ...), in
+  /// insertion order: pure functions of the config identity like `items`,
+  /// so benchdiff gates each one exactly. Serialized as the `work` block
+  /// when any was added.
+  void add_work(std::string_view key, std::uint64_t value);
+
   /// Per-stage breakdown copied from a quiesced tracer. `total` is the
   /// stage's accumulated wall, `self` is StageNode::self_nanos() (total minus
   /// its children on the same lane).
@@ -192,6 +198,7 @@ class PerfLedger {
   std::vector<std::pair<std::string, std::string>> config_;
   std::uint64_t wall_nanos_ = 0;
   std::uint64_t items_ = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> work_;
   std::vector<Stage> stages_;
   std::uint64_t pool_tasks_ = 0;
   std::uint64_t pool_steals_ = 0;

@@ -146,11 +146,13 @@ bool BooterService::active_at(
   return false;
 }
 
-void BooterService::advance_to(util::Timestamp now) {
+std::uint64_t BooterService::advance_to(util::Timestamp now) {
   // Each ReflectorList owns its own Rng stream, so advancing them in any
   // order produces identical per-list states; nothing is emitted here.
+  std::uint64_t churn_days = 0;
   // bslint:allow(BS004 per-list advance with independent Rng streams)
-  for (auto& [vector, list] : lists_) list.advance_to(now);
+  for (auto& [vector, list] : lists_) churn_days += list.advance_to(now);
+  return churn_days;
 }
 
 std::vector<ReflectorId> BooterService::attack_reflectors(net::AmpVector vector,

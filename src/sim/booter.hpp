@@ -85,8 +85,9 @@ class BooterService {
   [[nodiscard]] bool active_at(util::Timestamp t,
                                std::optional<util::Timestamp> takedown) const noexcept;
 
-  /// Advances reflector lists to `now`.
-  void advance_to(util::Timestamp now);
+  /// Advances reflector lists to `now`. Returns the churn days applied,
+  /// summed over the lists.
+  std::uint64_t advance_to(util::Timestamp now);
 
   /// Reflectors used for an attack of `count` amplifiers at the current time.
   [[nodiscard]] std::vector<ReflectorId> attack_reflectors(net::AmpVector vector,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "sim/landscape_detail.hpp"
@@ -204,6 +206,29 @@ MarketRuntime build_market(const Internet& internet,
     market.backends.push_back(internet.booter_backend(i));
   }
   return market;
+}
+
+MarketCursor::MarketCursor(MarketRuntime market, util::Timestamp start)
+    : market_(std::move(market)),
+      pending_switch_(market_.services.size()) {
+  for (std::size_t i = 0; i < market_.services.size(); ++i) {
+    BooterService& service = market_.services[i];
+    service.advance_to(start);  // a first advance never churns
+    const ListPolicy& policy = service.profile().list_policy;
+    if (policy.has_jump && start < policy.jump_at) pending_switch_[i] = service;
+  }
+}
+
+std::uint64_t MarketCursor::advance_to(util::Timestamp day) {
+  std::uint64_t churn_days = 0;
+  for (std::size_t i = 0; i < market_.services.size(); ++i) {
+    const std::optional<BooterService>& post_start = pending_switch_[i];
+    if (post_start && day >= post_start->profile().list_policy.jump_at) {
+      market_.services[i] = *post_start;
+    }
+    churn_days += market_.services[i].advance_to(day);
+  }
+  return churn_days;
 }
 
 std::size_t pick_booter(const MarketRuntime& market, AmpVector vector,

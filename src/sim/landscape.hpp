@@ -170,6 +170,14 @@ struct VantageData {
   std::uint32_t sampling_rate = 1;
 };
 
+/// Deterministic work counters of one engine run (DESIGN.md §9). Pure
+/// functions of the config, never of the machine or pool size, so perf
+/// ledgers carry them and benchdiff gates them exactly, like `items`.
+struct EngineWork {
+  std::uint64_t market_builds = 0;  // build_market calls
+  std::uint64_t churn_days = 0;     // ReflectorList::churn calls
+};
+
 struct LandscapeResult {
   LandscapeConfig config;
   VantageData ixp;
@@ -179,6 +187,7 @@ struct LandscapeResult {
   std::vector<BooterProfile> market;  // the simulated booter market
   /// Honeypot sightings (empty unless honeypots_per_vector > 0).
   std::vector<HoneypotObservation> honeypot_log;
+  EngineWork work;
 };
 
 /// Runs the full simulation and materializes it: run_landscape_stream

@@ -1,6 +1,6 @@
 // Internal generation machinery of the landscape engine: defined in
 // landscape.cpp, driven per day shard by landscape_stream.cpp. Not part of
-// the public surface: include only from sim/*.cpp.
+// the public surface: include only from sim/*.cpp and the sim tests.
 //
 // The generation primitives are parameterized by a [from, to) time range
 // and an explicit Rng; the engine calls them per day shard with
@@ -126,6 +126,33 @@ using ReflectorPools = std::unordered_map<net::AmpVector, ReflectorPool>;
                                          const LandscapeConfig& config,
                                          const ReflectorPools& pools,
                                          util::Rng& market_rng);
+
+/// The booter market of one run, built once and stepped forward one day at
+/// a time (DESIGN.md §9). After advance_to(day) the market equals what a
+/// fresh build_market + advance_to(start) + advance_to(day) replay reaches,
+/// list for list and Rng state for Rng state, for one churn day per list
+/// instead of `day - start` of them. The engine hands each day shard its
+/// own copy of that state.
+class MarketCursor {
+ public:
+  /// Takes a freshly built market and advances it to `start`.
+  MarketCursor(MarketRuntime market, util::Timestamp start);
+
+  /// Steps to `day` (never backwards). Returns the churn days applied.
+  std::uint64_t advance_to(util::Timestamp day);
+
+  [[nodiscard]] const MarketRuntime& market() const noexcept { return market_; }
+
+ private:
+  MarketRuntime market_;
+  /// Post-start copies of the services whose full-list switch lies ahead
+  /// of `start` (booter B's, for windows opening before 2018-06-13). A
+  /// fresh replay resamples such a service straight from its post-start
+  /// state on every day past the switch and never churns it again there;
+  /// stepping would churn up to the switch first and draw a different
+  /// list. Days past the switch are therefore served from this copy.
+  std::vector<std::optional<BooterService>> pending_switch_;
+};
 
 /// Picks an active booter offering `vector`, weighted by market share.
 /// Returns profiles.size() when no booter qualifies.

@@ -9,44 +9,14 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/landscape_detail.hpp"
+#include "util/annotations.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace booterscope::sim {
 
 namespace detail {
 namespace {
-
-/// Read-only state shared by every shard of a run: reflector pools, the
-/// booter market profiles (for the result), and the honeypot deployment.
-struct SharedShardState {
-  ReflectorPools pools;
-  std::vector<BooterProfile> market_profiles;
-  HoneypotDeployment honeypots;
-};
-
-SharedShardState build_shared_state(const Internet& internet,
-                                    const LandscapeConfig& config) {
-  SharedShardState state;
-  state.pools = build_pools(config);
-  {
-    util::Rng rng(config.seed);
-    util::Rng market_rng = rng.fork("market");
-    const MarketRuntime market =
-        build_market(internet, config, state.pools, market_rng);
-    state.market_profiles = market.profiles;
-  }
-  {
-    util::Rng rng(config.seed);
-    (void)rng.fork("market");
-    if (config.honeypots_per_vector > 0) {
-      state.honeypots =
-          HoneypotDeployment(state.pools, config.honeypots_per_vector,
-                             config.honeypot_public_share,
-                             rng.fork("honeypots"));
-    }
-  }
-  return state;
-}
 
 /// Everything one day shard produces, written into an index-addressed slot
 /// so the drain never depends on completion order.
@@ -62,9 +32,50 @@ struct DayShardOutput {
   }
 };
 
-/// Runs day shard `d`: replicates the market at day `d`, then generates
-/// attack, maintenance, and benign traffic into a fresh context. Pure in
-/// (internet, config, pools, honeypots, d) — every flow's `first` timestamp
+/// The in-flight window: one slot per resident day shard, day d in slot
+/// d % size(). A worker fills its slot and then publishes it; the driver
+/// takes the slots back in day order, waiting only for the next one.
+class ShardRing {
+ public:
+  explicit ShardRing(std::size_t slots) : outputs_(slots), done_(slots, 0) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return outputs_.size(); }
+
+  /// The slot day `d` writes into. Touched only by that day's shard until
+  /// it publishes, and only by the driver after take(d) returned.
+  [[nodiscard]] DayShardOutput& slot(std::size_t d) noexcept {
+    return outputs_[d % size()];
+  }
+
+  /// Worker side: day `d`'s slot is complete.
+  void publish(std::size_t d) {
+    const util::MutexLock lock(mutex_);
+    done_[d % size()] = 1;
+    ready_.notify_one();  // the driver is the only waiter
+  }
+
+  /// Driver side: blocks until day `d` is published, then hands its slot
+  /// back for draining and re-arms it.
+  [[nodiscard]] DayShardOutput& take(std::size_t d) {
+    const std::size_t i = d % size();
+    const util::MutexLock lock(mutex_);
+    while (done_[i] == 0) ready_.wait(mutex_);
+    done_[i] = 0;
+    return outputs_[i];
+  }
+
+ private:
+  std::vector<DayShardOutput> outputs_;
+  util::Mutex mutex_;
+  util::CondVar ready_;
+  std::vector<char> done_ BS_GUARDED_BY(mutex_);
+};
+
+/// Runs day shard `d` on `market`, the run's market as of day `d` (the
+/// shard's own copy, freed when the shard returns): generates attack,
+/// maintenance, and benign traffic into a fresh context. Pure in
+/// (internet, config, pools, honeypots, d), since the market state is a
+/// function of d — every flow's `first` timestamp
 /// is >= config.start + d days (attacks launch within their day; the 1 h
 /// duration cap only spills *forward*), which is the invariant streaming
 /// sinks rely on to finalize earlier bins at day_complete barriers.
@@ -73,7 +84,8 @@ struct DayShardOutput {
 void run_day_shard(const Internet& internet, const LandscapeConfig& config,
                    const ReflectorPools& pools,
                    const HoneypotDeployment& honeypots, std::size_t d,
-                   DayShardOutput& out, obs::StageTracer* tracer) {
+                   MarketRuntime market, DayShardOutput& out,
+                   obs::StageTracer* tracer) {
   obs::StageTimer shard_timer(tracer, "day_shard");
   shard_timer.add_items_in(1);
   const util::Timestamp day =
@@ -82,26 +94,12 @@ void run_day_shard(const Internet& internet, const LandscapeConfig& config,
   const util::Timestamp horizon =
       config.start + util::Duration::days(config.days);
 
-  // Market replica: every shard forks the same market sequence, so it sees
-  // the same profiles and per-service list seeds. Advancing start -> day
-  // applies exactly d churn days (plus booter B's one-off list switch),
-  // making list state a pure function of the day index.
-  std::optional<obs::StageTimer> phase;
-  phase.emplace(tracer, "market");
-  phase->add_items_in(d);  // churn days replayed
-  util::Rng seed_rng(config.seed);
-  util::Rng market_rng = seed_rng.fork("market");
-  MarketRuntime market = build_market(internet, config, pools, market_rng);
-  for (BooterService& service : market.services) {
-    service.advance_to(config.start);
-    service.advance_to(day);
-  }
-
   Context ctx(internet, config, util::Rng::split(config.seed, "context", d));
   const auto flows = [&ctx] {
     return ctx.ixp_flows.size() + ctx.tier1_flows.size() +
            ctx.tier2_flows.size();
   };
+  std::optional<obs::StageTimer> phase;
   phase.emplace(tracer, "attacks");
   generate_attack_traffic(ctx, market, pools, honeypots, day, next, horizon,
                           util::Rng::split(config.seed, "attacks", d),
@@ -188,73 +186,96 @@ StreamSummary run_landscape_stream(const Internet& internet,
   StreamSummary summary;
   summary.config = config;
 
-  const detail::SharedShardState shared =
-      detail::build_shared_state(internet, config);
-  summary.market = shared.market_profiles;
+  // Run-wide state, built once: the reflector pools, the booter market
+  // (stepped forward a day per shard by the cursor) and the honeypots.
+  const detail::ReflectorPools pools = detail::build_pools(config);
+  util::Rng rng(config.seed);
+  util::Rng market_rng = rng.fork("market");
+  detail::MarketCursor cursor(
+      detail::build_market(internet, config, pools, market_rng), config.start);
+  ++summary.work.market_builds;
+  summary.market = cursor.market().profiles;
+  HoneypotDeployment honeypots;
+  if (config.honeypots_per_vector > 0) {
+    honeypots = HoneypotDeployment(pools, config.honeypots_per_vector,
+                                   config.honeypot_public_share,
+                                   rng.fork("honeypots"));
+  }
 
   const auto days = static_cast<std::size_t>(config.days);
-  const std::size_t wave =
+  const auto day_start = [&config](std::size_t d) {
+    return config.start + util::Duration::days(static_cast<std::int64_t>(d));
+  };
+  const std::size_t window =
       options.max_inflight_days != 0
           ? options.max_inflight_days
           : std::max<std::size_t>(std::size_t{1}, pool.size() * 2);
-  flow::FlowBatch batch(options.batch_flows);
-  std::vector<detail::DayShardOutput> shards;
+  detail::ShardRing ring(std::min(window, std::max<std::size_t>(days, 1)));
+  // Shards reference this frame, and tasks finish their pool bookkeeping
+  // (the traced task records) after their body returned. Every exit, an
+  // unwinding one included, lets them retire first; the caller may then
+  // read the tracer, or destroy it, as soon as this returns.
+  struct RetireShards {
+    exec::ThreadPool& pool;
+    ~RetireShards() { pool.wait_idle(); }
+  } retire{pool};
 
-  for (std::size_t wave_start = 0; wave_start < days; wave_start += wave) {
-    const std::size_t count = std::min(wave, days - wave_start);
-    shards.assign(count, detail::DayShardOutput{});
-    {
-      obs::StageTimer timer(tracer, "day_shards");
-      timer.add_items_in(count);
-      pool.parallel_for(count, [&](std::size_t i) {
-        detail::run_day_shard(internet, config, shared.pools, shared.honeypots,
-                              wave_start + i, shards[i], tracer);
-      });
-      for (const detail::DayShardOutput& shard : shards) {
-        timer.add_items_out(shard.flow_count());
-      }
-    }
+  // Steps the market to day d and hands the shard its own copy. Submitted
+  // inside `day_shards`, so the worker's `day_shard` nests under it.
+  const auto submit = [&](std::size_t d) {
+    obs::StageTimer timer(tracer, "day_shards");
+    timer.add_items_in(1);
+    std::optional<obs::StageTimer> step(std::in_place, tracer, "market");
+    const std::uint64_t churned = cursor.advance_to(day_start(d));
+    summary.work.churn_days += churned;
+    step->add_items_in(churned);
+    detail::MarketRuntime market = cursor.market();
+    step.reset();
+    pool.submit([&, d, market = std::move(market)]() mutable {
+      detail::run_day_shard(internet, config, pools, honeypots, d,
+                            std::move(market), ring.slot(d), tracer);
+      ring.publish(d);
+    });
+  };
+
+  // Rolling drain: the driver drains day d while the workers produce the
+  // rest of the window, and refills the window as soon as d is out.
+  for (std::size_t d = 0; d < ring.size() && d < days; ++d) submit(d);
+  flow::FlowBatch batch(options.batch_flows);
+  for (std::size_t d = 0; d < days; ++d) {
+    // Waiting for the shard is driver idle time, not drain work.
+    detail::DayShardOutput& shard = ring.take(d);
     {
       obs::StageTimer timer(tracer, "drain");
-      std::size_t drained = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        detail::DayShardOutput& shard = shards[i];
-        const std::size_t d = wave_start + i;
-        drained += shard.flow_count();
-        summary.vantage_flows[flow::kVantageIxp] +=
-            drain_list(batch, sink, flow::kVantageIxp, shard.ixp,
-                       summary.batches, tracer);
-        summary.vantage_flows[flow::kVantageTier1] +=
-            drain_list(batch, sink, flow::kVantageTier1, shard.tier1,
-                       summary.batches, tracer);
-        summary.vantage_flows[flow::kVantageTier2] +=
-            drain_list(batch, sink, flow::kVantageTier2, shard.tier2,
-                       summary.batches, tracer);
-        summary.attack_count += shard.attacks.size();
-        summary.honeypot_observations += shard.honeypot_log.size();
-        if (truth != nullptr) {
-          truth->on_attacks(shard.attacks);
-          truth->on_honeypot_log(shard.honeypot_log);
-        }
-        {
-          const obs::StageTimer analysis(tracer, "analysis");
-          sink.day_complete(static_cast<int>(d),
-                            config.start + util::Duration::days(
-                                               static_cast<std::int64_t>(d)));
-        }
-        // Free the shard before draining the next one: the memory bound is
-        // the wave itself, not the whole run.
-        shard = detail::DayShardOutput{};
+      const std::size_t drained = shard.flow_count();
+      summary.vantage_flows[flow::kVantageIxp] +=
+          drain_list(batch, sink, flow::kVantageIxp, shard.ixp,
+                     summary.batches, tracer);
+      summary.vantage_flows[flow::kVantageTier1] +=
+          drain_list(batch, sink, flow::kVantageTier1, shard.tier1,
+                     summary.batches, tracer);
+      summary.vantage_flows[flow::kVantageTier2] +=
+          drain_list(batch, sink, flow::kVantageTier2, shard.tier2,
+                     summary.batches, tracer);
+      summary.attack_count += shard.attacks.size();
+      summary.honeypot_observations += shard.honeypot_log.size();
+      if (truth != nullptr) {
+        truth->on_attacks(shard.attacks);
+        truth->on_honeypot_log(shard.honeypot_log);
       }
+      {
+        const obs::StageTimer analysis(tracer, "analysis");
+        sink.day_complete(static_cast<int>(d), day_start(d));
+      }
+      // Free the shard before its slot takes the next day: the memory
+      // bound is the window, not the whole run.
+      shard = detail::DayShardOutput{};
       timer.add_items_in(drained);
       timer.add_items_out(drained);
     }
+    if (d + ring.size() < days) submit(d + ring.size());
   }
 
-  // Tasks finish their pool bookkeeping (the traced task records) after
-  // their last body returned; let them retire so the caller may read the
-  // tracer, or destroy it, as soon as this returns.
-  pool.wait_idle();
   obs::metrics()
       .counter("booterscope_landscape_attacks_total")
       .add(summary.attack_count);
@@ -275,6 +296,7 @@ LandscapeResult run_landscape(const Internet& internet,
                                                {}, tracer, &truth);
   result.config = config;
   result.market = std::move(summary.market);
+  result.work = summary.work;
   result.ixp.store = flow::FlowStore{std::move(flows.flows(flow::kVantageIxp))};
   result.ixp.sampling_rate = config.ixp_sampling;
   result.tier1.store =

@@ -3,13 +3,16 @@
 //
 // The run is sharded by simulated day. Every shard derives its randomness
 // with util::Rng::split(seed, label, day) — a pure function of the master
-// seed and the day index, never of thread identity. Shards are scheduled
-// over the pool in bounded waves of ~2x the pool size, and each finished
-// wave is drained — in day order, vantage-major within a day (IXP, tier-1,
-// tier-2) — into a FlowBatchSink as fixed-size columnar batches, then
-// freed. Peak RSS is O(inflight shards + sink state), flat in run length,
-// which is what lets --attacks-per-day climb from 300 toward the paper's
-// inferred ~20 000.
+// seed and the day index, never of thread identity. The booter market is
+// built once per run and stepped forward one day at a time; each shard gets
+// its own copy of the day's market (reflector lists are flat, so a copy is
+// a few memcpys), which keeps the run's market work linear in its length.
+// At most `max_inflight_days` shards are resident: the driver drains day d
+// — vantage-major within a day (IXP, tier-1, tier-2) — into a
+// FlowBatchSink as fixed-size columnar batches while the pool produces the
+// rest of the window, then frees d and submits day d + window. Peak RSS is
+// O(inflight shards + sink state), flat in run length, which is what lets
+// --attacks-per-day climb from 300 toward the paper's inferred ~20 000.
 //
 // The delivered rows are byte-identical at any pool size (including 1)
 // and any batch capacity. A materialized run (sim::run_landscape) is this
@@ -55,6 +58,8 @@ struct StreamSummary {
   /// Flows delivered per vantage slot (pre-sink; sinks may drop more).
   std::array<std::uint64_t, flow::kVantageCount> vantage_flows{};
   std::uint64_t batches = 0;
+  /// Plain fields, kept under BOOTERSCOPE_NO_METRICS like the rest.
+  EngineWork work;
 
   [[nodiscard]] std::uint64_t total_flows() const noexcept {
     return vantage_flows[0] + vantage_flows[1] + vantage_flows[2];

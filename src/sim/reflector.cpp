@@ -39,7 +39,7 @@ std::vector<ReflectorId> ReflectorPool::sample_public(
 
 ReflectorList::ReflectorList(const ReflectorPool& pool, std::uint32_t size,
                              ListPolicy policy, util::Rng rng)
-    : pool_(&pool), policy_(policy), rng_(rng) {
+    : pool_(&pool), policy_(policy), rng_(rng), members_(pool.population()) {
   list_.reserve(size);
   for (std::uint32_t i = 0; i < size && i < pool.population(); ++i) {
     ReflectorId id = draw_one();
@@ -75,8 +75,8 @@ void ReflectorList::churn(double fraction) {
 
 void ReflectorList::resample() {
   const std::size_t size = list_.size();
+  for (const ReflectorId id : list_) members_.erase(id);
   list_.clear();
-  members_.clear();
   for (std::size_t i = 0; i < size; ++i) {
     ReflectorId id = draw_one();
     int guard = 0;
@@ -87,7 +87,7 @@ void ReflectorList::resample() {
   }
 }
 
-void ReflectorList::advance_to(util::Timestamp now) {
+std::uint64_t ReflectorList::advance_to(util::Timestamp now) {
   // The full-list switch applies regardless of whether this list has been
   // advanced before (a brand-new observer still sees the post-switch list).
   if (policy_.has_jump && !jumped_ && now >= policy_.jump_at) {
@@ -95,17 +95,18 @@ void ReflectorList::advance_to(util::Timestamp now) {
     jumped_ = true;
     last_update_ = now;
     initialized_ = true;
-    return;
+    return 0;
   }
   if (!initialized_) {
     last_update_ = now;
     initialized_ = true;
-    return;
+    return 0;
   }
   const std::int64_t elapsed_days = (now - last_update_).total_days();
-  if (elapsed_days <= 0) return;
+  if (elapsed_days <= 0) return 0;
   for (std::int64_t day = 0; day < elapsed_days; ++day) churn(policy_.daily_churn);
   last_update_ += util::Duration::days(elapsed_days);
+  return static_cast<std::uint64_t>(elapsed_days);
 }
 
 std::vector<ReflectorId> ReflectorList::select(std::uint32_t count) const {

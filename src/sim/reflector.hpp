@@ -72,7 +72,8 @@ class ReflectorList {
                 util::Rng rng);
 
   /// Advances internal state to `now`, applying daily churn and the jump.
-  void advance_to(util::Timestamp now);
+  /// Returns the churn days applied (the engine's work counter).
+  std::uint64_t advance_to(util::Timestamp now);
 
   /// The reflectors an attack launched now would use. `count` of them are
   /// chosen deterministically from the head of the list (the paper found
@@ -94,8 +95,29 @@ class ReflectorList {
   const ReflectorPool* pool_;
   ListPolicy policy_;
   util::Rng rng_;
+  /// Membership of list_ as one bit per pool id. Only ever probed (never
+  /// iterated), so draw order is unaffected, and a copy of the list is a
+  /// few flat memcpys — the engine hands every day shard its own copy.
+  class Membership {
+   public:
+    explicit Membership(std::uint32_t population)
+        : words_((static_cast<std::size_t>(population) + 63) / 64) {}
+    [[nodiscard]] bool contains(ReflectorId id) const noexcept {
+      return ((words_[id >> 6] >> (id & 63)) & 1u) != 0;
+    }
+    void insert(ReflectorId id) noexcept {
+      words_[id >> 6] |= std::uint64_t{1} << (id & 63);
+    }
+    void erase(ReflectorId id) noexcept {
+      words_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
+    }
+
+   private:
+    std::vector<std::uint64_t> words_;
+  };
+
   std::vector<ReflectorId> list_;
-  std::unordered_set<ReflectorId> members_;
+  Membership members_;
   util::Timestamp last_update_;
   bool initialized_ = false;
   bool jumped_ = false;

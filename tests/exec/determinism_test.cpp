@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/takedown.hpp"
 #include "exec/vantage_pipeline.hpp"
 #include "obs/manifest.hpp"
+#include "flow/batch.hpp"
 #include "sim/landscape.hpp"
+#include "sim/landscape_stream.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace booterscope {
@@ -80,6 +83,53 @@ TEST(ParallelDeterminism, LandscapeIdenticalForPoolSizes128) {
     EXPECT_EQ(r1.ixp.sampling_rate, other->ixp.sampling_rate);
     expect_same_attacks(r1.attacks, other->attacks);
     expect_same_honeypot_log(r1.honeypot_log, other->honeypot_log);
+  }
+}
+
+/// What a streaming run delivered: the sink's rows and the ground truth.
+struct Delivered : sim::GroundTruthSink {
+  flow::CollectingSink flows;
+  std::vector<sim::AttackRecord> attacks;
+  std::vector<sim::HoneypotObservation> honeypot_log;
+
+  void on_attacks(std::span<const sim::AttackRecord> batch) override {
+    attacks.insert(attacks.end(), batch.begin(), batch.end());
+  }
+  void on_honeypot_log(
+      std::span<const sim::HoneypotObservation> log) override {
+    honeypot_log.insert(honeypot_log.end(), log.begin(), log.end());
+  }
+};
+
+// The in-flight window trades memory for overlap, never bytes: every pool
+// size x window (1, 2 and the 2x-pool default) delivers the same rows and
+// ground truth in the same order.
+TEST(ParallelDeterminism, StreamIdenticalForPoolSizesAndInflightWindows) {
+  const sim::LandscapeConfig config = tiny_config();
+  const auto run = [&](std::size_t threads, std::size_t inflight) {
+    exec::ThreadPool pool(threads);
+    sim::StreamOptions options;
+    options.max_inflight_days = inflight;
+    Delivered out;
+    const sim::StreamSummary summary = sim::run_landscape_stream(
+        shared_internet(), config, pool, out.flows, options, nullptr, &out);
+    EXPECT_EQ(summary.work.market_builds, 1u);
+    return out;
+  };
+  const Delivered reference = run(1, 1);
+  ASSERT_FALSE(reference.flows.flows(flow::kVantageIxp).empty());
+  ASSERT_FALSE(reference.honeypot_log.empty());
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (const std::size_t inflight : {1u, 2u, 0u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " inflight " +
+                   std::to_string(inflight));
+      const Delivered other = run(threads, inflight);
+      for (std::size_t v = 0; v < flow::kVantageCount; ++v) {
+        EXPECT_EQ(reference.flows.flows(v), other.flows.flows(v)) << v;
+      }
+      expect_same_attacks(reference.attacks, other.attacks);
+      expect_same_honeypot_log(reference.honeypot_log, other.honeypot_log);
+    }
   }
 }
 

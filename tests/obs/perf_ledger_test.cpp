@@ -2,7 +2,8 @@
 // tools/benchdiff parses on the other side — headline numbers, per-stage
 // self/total breakdown, pool utilization, nullable peak RSS, the live
 // sampler's resource_series block (schema /2), and the schema-/3
-// hw_counters / flow_micro blocks with their tier-gated field emission.
+// hw_counters / flow_micro / work blocks with their tier-gated field
+// emission.
 #include "obs/perf_ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,15 @@ TEST(PerfLedger, EmitsTheLedgerSchemaWithIdentityAndHeadlines) {
   // digits under json_number's shortest-round-trip rule.
   EXPECT_NE(json.find("\"items_per_second\":512"), std::string::npos);
   EXPECT_NE(json.find("\"git_describe\":"), std::string::npos);
+
+  // Work counters serialize as one block, in insertion order, only when
+  // some were added.
+  EXPECT_EQ(json.find("\"work\""), std::string::npos);
+  ledger.add_work("market_builds", 1);
+  ledger.add_work("churn_days", 979);
+  EXPECT_NE(ledger.to_json().find(
+                "\"work\":{\"market_builds\":1,\"churn_days\":979}"),
+            std::string::npos);
 }
 
 /// One closed stage record with synthetic timestamps under `parent`.

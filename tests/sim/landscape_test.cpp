@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/takedown.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
+#include "sim/landscape_detail.hpp"
 
 namespace booterscope::sim {
 namespace {
@@ -217,8 +221,9 @@ TEST(LandscapeWindows, VantageWindowsFilterExports) {
 
 // Stages opened on the workers inside a day shard nest under the driver's
 // `day_shards`, each on its worker's lane, and self time subtracts only
-// same-lane children: at pool 4 the driver's `day_shards` has no driver
-// children, so its self time is its whole wall.
+// same-lane children. The driver opens `day_shards` around each submit,
+// with one driver-lane `market` child (the forward market step) per day;
+// a shard's own children are its three generation phases.
 TEST(LandscapeStages, ShardStagesNestOnWorkersWithPerLaneSelfTime) {
   Internet internet{InternetConfig{}};
   LandscapeConfig config;
@@ -240,28 +245,42 @@ TEST(LandscapeStages, ShardStagesNestOnWorkersWithPerLaneSelfTime) {
   ASSERT_EQ(shards.name, "day_shards");
   ASSERT_EQ(drain.name, "drain");
   EXPECT_EQ(shards.worker, -1);
+  EXPECT_EQ(shards.calls, 9u);
   EXPECT_GT(shards.wall_nanos, 0u);
-  EXPECT_EQ(shards.self_nanos(), shards.wall_nanos);
 
   std::uint64_t shard_calls = 0;
-  for (const auto& shard : shards.children) {
-    EXPECT_EQ(shard->name, "day_shard");
-    EXPECT_GE(shard->worker, 0);
-    shard_calls += shard->calls;
-    ASSERT_EQ(shard->children.size(), 4u);
-    const char* const phases[] = {"market", "attacks", "maintenance",
-                                  "benign"};
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(shard->children[i]->name, phases[i]);
-      EXPECT_EQ(shard->children[i]->worker, shard->worker);
-      EXPECT_EQ(shard->children[i]->calls, shard->calls);
+  std::uint64_t market_nodes = 0;
+  std::uint64_t driver_children_nanos = 0;
+  for (const auto& child : shards.children) {
+    if (child->name == "market") {
+      ++market_nodes;
+      EXPECT_EQ(child->worker, -1);
+      EXPECT_EQ(child->calls, 9u);
+      EXPECT_TRUE(child->children.empty());
+      driver_children_nanos += child->wall_nanos;
+      continue;
+    }
+    const obs::StageNode& shard = *child;
+    EXPECT_EQ(shard.name, "day_shard");
+    EXPECT_GE(shard.worker, 0);
+    shard_calls += shard.calls;
+    ASSERT_EQ(shard.children.size(), 3u);
+    const char* const phases[] = {"attacks", "maintenance", "benign"};
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(shard.children[i]->name, phases[i]);
+      EXPECT_EQ(shard.children[i]->worker, shard.worker);
+      EXPECT_EQ(shard.children[i]->calls, shard.calls);
     }
   }
+  EXPECT_EQ(market_nodes, 1u);
   EXPECT_EQ(shard_calls, 9u);
+  // Only the driver-lane `market` child counts against `day_shards`.
+  EXPECT_EQ(shards.self_nanos(), shards.wall_nanos - driver_children_nanos);
 
   ASSERT_EQ(drain.children.size(), 1u);
   EXPECT_EQ(drain.children[0]->name, "analysis");
   EXPECT_EQ(drain.children[0]->worker, -1);
+  EXPECT_EQ(drain.calls, 9u);
   // One delivery per batch, one barrier per day.
   EXPECT_GE(drain.children[0]->calls, 9u + 9u);
 
@@ -269,6 +288,90 @@ TEST(LandscapeStages, ShardStagesNestOnWorkersWithPerLaneSelfTime) {
     EXPECT_LE(flat.node->self_nanos(), flat.node->wall_nanos)
         << flat.node->name;
   }
+}
+
+// The engine builds the market once and steps it a day at a time, so its
+// churn work is linear in run length: (days - 1) churn days per list.
+// Replaying the market per shard made it quadratic (ratio 190 / 45).
+TEST(LandscapeWork, MarketWorkIsLinearInRunLength) {
+  Internet internet{InternetConfig{}};
+  exec::ThreadPool pool(2);
+  const auto work_for = [&](int days) {
+    LandscapeConfig config;
+    config.start = Timestamp::parse("2018-11-01").value();
+    config.days = days;
+    config.takedown = std::nullopt;
+    config.attacks_per_day = 5.0;
+    return run_landscape(internet, config, pool).work;
+  };
+  const EngineWork ten = work_for(10);
+  const EngineWork twenty = work_for(20);
+  EXPECT_EQ(ten.market_builds, 1u);
+  EXPECT_EQ(twenty.market_builds, 1u);
+  ASSERT_GT(ten.churn_days, 0u);
+  EXPECT_EQ(ten.churn_days % 9, 0u);
+  EXPECT_EQ(twenty.churn_days * 9, ten.churn_days * 19);
+}
+
+/// The lists of every service of `market`, in service then vector order.
+std::vector<std::vector<ReflectorId>> market_lists(
+    const detail::MarketRuntime& market) {
+  std::vector<std::vector<ReflectorId>> lists;
+  for (const BooterService& service : market.services) {
+    for (const net::AmpVector vector : service.profile().vectors) {
+      lists.push_back(service.list(vector)->current());
+    }
+  }
+  return lists;
+}
+
+/// For every day of a `days`-day window at `start`, the forward-pass market
+/// equals a fresh build + advance_to(start) + advance_to(day) replay — the
+/// lists and, through one more churn day on both, their Rng states.
+void expect_cursor_matches_replay(const Internet& internet,
+                                  const std::string& start, int days) {
+  LandscapeConfig config;
+  config.start = Timestamp::parse(start).value();
+  config.days = days;
+  const detail::ReflectorPools pools = detail::build_pools(config);
+  const auto fresh = [&] {
+    util::Rng rng(config.seed);
+    util::Rng market_rng = rng.fork("market");
+    return detail::build_market(internet, config, pools, market_rng);
+  };
+  detail::MarketCursor cursor(fresh(), config.start);
+  for (int d = 0; d < days; ++d) {
+    const Timestamp day = config.start + Duration::days(d);
+    (void)cursor.advance_to(day);
+    detail::MarketRuntime replay = fresh();
+    for (BooterService& service : replay.services) {
+      (void)service.advance_to(config.start);
+      (void)service.advance_to(day);
+    }
+    ASSERT_EQ(market_lists(cursor.market()), market_lists(replay))
+        << start << " day " << d;
+
+    detail::MarketRuntime stepped = cursor.market();
+    for (std::size_t i = 0; i < stepped.services.size(); ++i) {
+      (void)stepped.services[i].advance_to(day + Duration::days(1));
+      (void)replay.services[i].advance_to(day + Duration::days(1));
+    }
+    ASSERT_EQ(market_lists(stepped), market_lists(replay))
+        << start << " day " << d << " + 1";
+  }
+}
+
+// Booter B switches its whole list on 2018-06-13. A window opening before
+// that resamples B's lists from the post-start state on every later day
+// and never churns them there; the cursor must serve exactly that.
+TEST(MarketCursor, MatchesFreshReplayAcrossBooterBListSwitch) {
+  const Internet internet{InternetConfig{}};
+  expect_cursor_matches_replay(internet, "2018-06-01", 30);
+}
+
+TEST(MarketCursor, MatchesFreshReplayAfterBooterBListSwitch) {
+  const Internet internet{InternetConfig{}};
+  expect_cursor_matches_replay(internet, "2018-11-01", 30);
 }
 
 TEST(LandscapePaperConfig, MatchesStudyParameters) {

@@ -5,6 +5,8 @@
 // points at the gate logic, not at process plumbing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -284,6 +286,57 @@ TEST(BenchdiffGate, ItemsMismatchFailsEvenBelowTheNoiseFloor) {
   ASSERT_EQ(result.findings.size(), 1u) << render_report(result);
   EXPECT_EQ(result.findings[0].kind, Finding::Kind::kExact);
   EXPECT_EQ(result.findings[0].metric, "items");
+}
+
+/// Splices a `work` block (the counters' JSON body) into a fixture.
+[[nodiscard]] Ledger with_work(const FixtureSpec& spec,
+                               const std::string& counters) {
+  std::string json = ledger_json(spec);
+  json.insert(json.find("\"stages\""), "\"work\":{" + counters + "},");
+  std::string error;
+  const std::optional<Ledger> ledger = parse_ledger(json, &error);
+  EXPECT_TRUE(ledger) << error;
+  return *ledger;
+}
+
+TEST(BenchdiffGate, WorkCounterDriftFailsEvenBelowTheNoiseFloor) {
+  FixtureSpec tiny;
+  tiny.wall = 0.05;
+  const Ledger baseline =
+      with_work(tiny, "\"market_builds\":1,\"churn_days\":979");
+  ASSERT_TRUE(baseline.work);
+  ASSERT_EQ(baseline.work->size(), 2u);
+  EXPECT_EQ((*baseline.work)[1].second, 979u);
+  DiffOptions options;
+  options.min_runtime_seconds = 5.0;
+
+  const DiffResult same = diff_ledgers(
+      baseline, with_work(tiny, "\"market_builds\":1,\"churn_days\":979"),
+      options);
+  EXPECT_TRUE(same.ok()) << render_report(same);
+
+  // A quadratic replay keeps `items` but multiplies the churn work.
+  const DiffResult drifted = diff_ledgers(
+      baseline, with_work(tiny, "\"market_builds\":12,\"churn_days\":5874"),
+      options);
+  ASSERT_EQ(drifted.findings.size(), 2u) << render_report(drifted);
+  EXPECT_EQ(drifted.findings[0].kind, Finding::Kind::kExact);
+  EXPECT_EQ(drifted.findings[0].metric, "work.market_builds");
+  EXPECT_EQ(drifted.findings[1].metric, "work.churn_days");
+}
+
+TEST(BenchdiffGate, WorkGateSkipsBaselinesWithoutTheBlock) {
+  const Ledger counted = with_work({}, "\"churn_days\":979");
+  const DiffResult skipped =
+      diff_ledgers(parse_fixture({}), counted, DiffOptions{});
+  EXPECT_TRUE(skipped.ok()) << render_report(skipped);
+
+  // The reverse un-gates the counters silently: structural drift.
+  const DiffResult lost =
+      diff_ledgers(counted, parse_fixture({}), DiffOptions{});
+  ASSERT_EQ(lost.findings.size(), 1u) << render_report(lost);
+  EXPECT_EQ(lost.findings[0].kind, Finding::Kind::kStructural);
+  EXPECT_EQ(lost.findings[0].metric, "work.churn_days");
 }
 
 TEST(BenchdiffGate, ConfigDriftIsStructuralNotASilentSkip) {
@@ -667,8 +720,14 @@ TEST(BenchdiffCheck, FlagsInternalInconsistency) {
 class BenchdiffDirs : public testing::Test {
  protected:
   void SetUp() override {
-    base_dir_ = testing::TempDir() + "/benchdiff_base";
-    cand_dir_ = testing::TempDir() + "/benchdiff_cand";
+    // Each case gets its own directories: ctest -j runs the cases as
+    // concurrent processes that share TempDir().
+    const std::string suffix =
+        std::string("_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+        std::to_string(::getpid());
+    base_dir_ = testing::TempDir() + "/benchdiff_base" + suffix;
+    cand_dir_ = testing::TempDir() + "/benchdiff_cand" + suffix;
     std::filesystem::create_directories(base_dir_);
     std::filesystem::create_directories(cand_dir_);
   }

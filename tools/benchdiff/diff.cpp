@@ -107,6 +107,14 @@ std::optional<Ledger> parse_ledger(const std::string& text,
   ledger.wall_seconds = doc->number_or("wall_seconds", 0.0);
   ledger.items = static_cast<std::uint64_t>(doc->number_or("items", 0.0));
   ledger.items_per_second = doc->number_or("items_per_second", 0.0);
+  if (const JsonValue* work = doc->find("work");
+      work != nullptr && work->kind == JsonValue::Kind::kObject) {
+    ledger.work.emplace();
+    for (const auto& [key, value] : work->object) {
+      ledger.work->emplace_back(key,
+                                static_cast<std::uint64_t>(value.number));
+    }
+  }
   if (const JsonValue* stages = doc->find("stages");
       stages != nullptr && stages->kind == JsonValue::Kind::kArray) {
     for (const JsonValue& entry : stages->array) {
@@ -398,6 +406,29 @@ DiffResult diff_ledgers(const Ledger& baseline, const Ledger& candidate,
                 "deterministic output drift: baseline " +
                     std::to_string(baseline.items) + " vs candidate " +
                     std::to_string(candidate.items));
+  }
+  if (baseline.work) {
+    const auto find = [&](const std::string& key)
+        -> std::optional<std::uint64_t> {
+      if (!candidate.work) return std::nullopt;
+      for (const auto& [name, value] : *candidate.work) {
+        if (name == key) return value;
+      }
+      return std::nullopt;
+    };
+    for (const auto& [key, value] : *baseline.work) {
+      const std::optional<std::uint64_t> other = find(key);
+      if (!other) {
+        add_finding(result, Finding::Kind::kStructural, id, "work." + key,
+                    "missing in candidate (baseline: " +
+                        std::to_string(value) + ")");
+      } else if (*other != value) {
+        add_finding(result, Finding::Kind::kExact, id, "work." + key,
+                    "deterministic work drift: baseline " +
+                        std::to_string(value) + " vs candidate " +
+                        std::to_string(*other));
+      }
+    }
   }
 
   // Structural: a baseline recorded with the live sampler expects the

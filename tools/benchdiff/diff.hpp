@@ -7,6 +7,9 @@
 //     an error, not a silent skip);
 //   exact      — `items` is a deterministic output count, so when the
 //     config identity matches it must match to the digit on every machine;
+//     so must every counter in the baseline's `work` block (deterministic
+//     work such as churn days: an algorithmic regression shows there on
+//     any machine, noise floor or not);
 //   timing     — wall/stage/RSS ratios against per-metric thresholds,
 //     applied only when the baseline ran longer than the noise floor
 //     (`min_runtime_seconds`), so micro-runs on shared CI boxes cannot
@@ -52,6 +55,10 @@ struct Ledger {
   double wall_seconds = 0.0;
   std::uint64_t items = 0;
   double items_per_second = 0.0;
+  /// The optional `work` block: deterministic work counters (market
+  /// builds, churn days, ...), gated exactly like `items`. nullopt when
+  /// the ledger predates the block.
+  std::optional<std::vector<std::pair<std::string, std::uint64_t>>> work;
 
   struct Stage {
     std::string name;

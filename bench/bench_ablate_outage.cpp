@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
       tally.dropped_by_fault += dropped;
       tally.decoded_clean += kept.size();
 
-      auto daily = core::daily_packets_to_port(kept, s.port, cfg.start,
-                                               cfg.days, &world.pool);
+      auto daily =
+          core::daily_packets_to_port(kept, s.port, cfg.start, cfg.days);
       plan.apply_coverage(daily, s.vantage);
       // Naive: min_coverage 0 keeps every day, outages and all.
       const auto naive = core::takedown_metrics(daily, takedown, 0.05, 0.0);

@@ -4,7 +4,6 @@
 // not paper reproductions.
 #include <benchmark/benchmark.h>
 
-#include "core/takedown.hpp"
 #include "core/victims.hpp"
 #include "flow/anonymize.hpp"
 #include "flow/collector.hpp"
@@ -192,20 +191,6 @@ void BM_PoolParallelFor(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Unit(
     benchmark::kMicrosecond);
-
-void BM_ParallelDailySeries(benchmark::State& state) {
-  const auto flows = make_flows(200'000, 11);
-  exec::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  const util::Timestamp start = util::Timestamp::parse("2018-12-19").value();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::daily_packets_to_port(
-        flows, net::ports::kNtp, start, 1, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(flows.size()));
-}
-BENCHMARK(BM_ParallelDailySeries)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
 
 void BM_ParallelLandscape(benchmark::State& state) {
   const sim::Internet internet{sim::InternetConfig{}};

@@ -1,9 +1,9 @@
 #include "core/takedown.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <map>
-#include <utility>
-#include <vector>
+#include <string>
+#include <string_view>
 
 #include "core/victims.hpp"
 #include "obs/metrics.hpp"
@@ -26,58 +26,11 @@ void count_series_pass(std::string_view kind, std::size_t scanned,
       .add(selected);
 }
 
-/// Fixed chunk size for parallel series builds. Thread-count independence
-/// requires the chunk boundaries to be a function of the input alone, so
-/// this is a constant, never derived from pool size.
-constexpr std::size_t kSeriesChunk = std::size_t{1} << 14;
-
-/// Chunked parallel scan: each chunk fills a partial series, partials are
-/// merged in chunk order. `select_and_add` returns how many flows the
-/// chunk selected.
-template <typename SelectAndAdd>
-[[nodiscard]] std::pair<stats::BinnedSeries, std::size_t> build_series_chunked(
-    const flow::FlowList& flows, util::Timestamp start,
-    util::Duration bin_width, std::size_t bin_count, exec::ThreadPool& pool,
-    SelectAndAdd&& select_and_add) {
-  const std::size_t chunks = (flows.size() + kSeriesChunk - 1) / kSeriesChunk;
-  std::vector<stats::BinnedSeries> partials(
-      chunks, stats::BinnedSeries(start, bin_width, bin_count));
-  std::vector<std::size_t> selected(chunks, 0);
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t lo = c * kSeriesChunk;
-    const std::size_t hi = std::min(flows.size(), lo + kSeriesChunk);
-    std::size_t count = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (select_and_add(flows[i], partials[c])) ++count;
-    }
-    selected[c] = count;
-  });
-  stats::BinnedSeries series(start, bin_width, bin_count);
-  std::size_t total_selected = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    series.merge_from(partials[c]);
-    total_selected += selected[c];
-  }
-  return {std::move(series), total_selected};
-}
-
 }  // namespace
 
 stats::BinnedSeries daily_packets_to_port(const flow::FlowList& flows,
                                           std::uint16_t service_port,
-                                          util::Timestamp start, int days,
-                                          exec::ThreadPool* pool) {
-  if (pool != nullptr) {
-    auto [series, selected] = build_series_chunked(
-        flows, start, util::Duration::days(1), static_cast<std::size_t>(days),
-        *pool, [&](const flow::FlowRecord& f, stats::BinnedSeries& out) {
-          if (!is_to_reflector_flow(f, service_port)) return false;
-          out.add(f.first, f.scaled_packets());
-          return true;
-        });
-    count_series_pass("to_port", flows.size(), selected);
-    return std::move(series);
-  }
+                                          util::Timestamp start, int days) {
   stats::BinnedSeries series(start, util::Duration::days(1),
                              static_cast<std::size_t>(days));
   std::size_t selected = 0;
@@ -92,18 +45,7 @@ stats::BinnedSeries daily_packets_to_port(const flow::FlowList& flows,
 
 stats::BinnedSeries daily_packets_from_reflectors(
     const flow::FlowList& flows, const OptimisticFilterConfig& filter,
-    util::Timestamp start, int days, exec::ThreadPool* pool) {
-  if (pool != nullptr) {
-    auto [series, selected] = build_series_chunked(
-        flows, start, util::Duration::days(1), static_cast<std::size_t>(days),
-        *pool, [&](const flow::FlowRecord& f, stats::BinnedSeries& out) {
-          if (!is_reflection_flow(f, filter)) return false;
-          out.add(f.first, f.scaled_packets());
-          return true;
-        });
-    count_series_pass("from_reflectors", flows.size(), selected);
-    return std::move(series);
-  }
+    util::Timestamp start, int days) {
   stats::BinnedSeries series(start, util::Duration::days(1),
                              static_cast<std::size_t>(days));
   std::size_t selected = 0;
@@ -118,12 +60,9 @@ stats::BinnedSeries daily_packets_from_reflectors(
 
 stats::BinnedSeries hourly_attacked_systems(const flow::FlowList& flows,
                                             const ConservativeFilterConfig& filter,
-                                            util::Timestamp start, int days,
-                                            exec::ThreadPool* pool) {
+                                            util::Timestamp start, int days) {
   // One aggregator per hour; flows are attributed to the hour of their
-  // start (attack flows in this pipeline are minute-scale). Grouping is
-  // sequential — it is a cheap scan — and keeps each aggregator's insert
-  // order identical to the serial build.
+  // start (attack flows in this pipeline are minute-scale).
   std::map<std::int64_t, VictimAggregator> hours;
   const VictimAggregatorConfig aggregator_config{filter,
                                                  util::Duration::minutes(1)};
@@ -139,30 +78,13 @@ stats::BinnedSeries hourly_attacked_systems(const flow::FlowList& flows,
 
   stats::BinnedSeries series(start, util::Duration::hours(1),
                              static_cast<std::size_t>(days) * 24);
-  // The expensive step is summarizing each hour's victims; hours are
-  // independent, and each hour's count lands in its own bin, so running
-  // them on the pool is bit-identical to the serial loop.
-  std::vector<std::pair<std::int64_t, const VictimAggregator*>> by_hour;
-  by_hour.reserve(hours.size());
   for (const auto& [hour_ns, aggregator] : hours) {
-    by_hour.emplace_back(hour_ns, &aggregator);
-  }
-  std::vector<std::uint64_t> attacked(by_hour.size(), 0);
-  auto summarize_hour = [&](std::size_t i) {
-    std::uint64_t count = 0;
-    for (const VictimSummary& summary : by_hour[i].second->summarize()) {
-      if (summary.verdict.conservative()) ++count;
+    std::uint64_t attacked = 0;
+    for (const VictimSummary& summary : aggregator.summarize()) {
+      if (summary.verdict.conservative()) ++attacked;
     }
-    attacked[i] = count;
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(by_hour.size(), summarize_hour);
-  } else {
-    for (std::size_t i = 0; i < by_hour.size(); ++i) summarize_hour(i);
-  }
-  for (std::size_t i = 0; i < by_hour.size(); ++i) {
-    series.add(util::Timestamp::from_nanos(by_hour[i].first),
-               static_cast<double>(attacked[i]));
+    series.add(util::Timestamp::from_nanos(hour_ns),
+               static_cast<double>(attacked));
   }
   return series;
 }

@@ -16,37 +16,32 @@
 #include "flow/record.hpp"
 #include "stats/timeseries.hpp"
 #include "stats/welch.hpp"
-#include "exec/thread_pool.hpp"
 #include "util/time.hpp"
 
 namespace booterscope::core {
 
-// The series builders accept an optional thread pool. With a pool, the
-// flow scan is chunked at a fixed size and the partial series are merged
-// in chunk order, so the result is identical for every pool size; it can
-// differ from the serial (pool-less) result only in float addition order.
+// The series builders are serial scans over a materialized flow list.
+// core::StreamAnalysis computes the same series in one pass over flow
+// batches and is checked bit-identical against these builders.
 
 /// Daily scaled-packet series of traffic *to* a reflector port (dst port)
 /// over [start, start + days).
 [[nodiscard]] stats::BinnedSeries daily_packets_to_port(
     const flow::FlowList& flows, std::uint16_t service_port,
-    util::Timestamp start, int days, exec::ThreadPool* pool = nullptr);
+    util::Timestamp start, int days);
 
 /// Daily scaled-packet series of reflection traffic *from* a service port
 /// to victims (optimistic filter).
 [[nodiscard]] stats::BinnedSeries daily_packets_from_reflectors(
     const flow::FlowList& flows, const OptimisticFilterConfig& filter,
-    util::Timestamp start, int days, exec::ThreadPool* pool = nullptr);
+    util::Timestamp start, int days);
 
 /// Hourly count of distinct systems under attack per the conservative
 /// filter (Fig. 5): destinations of >200-byte NTP traffic from more than
-/// `min_amplifiers` sources with a >1 Gbps peak within the hour. Hour
-/// grouping is sequential; with a pool the per-hour victim summaries run
-/// on the workers (bit-identical to the serial result: each hour's count
-/// lands in its own bin).
+/// `min_amplifiers` sources with a >1 Gbps peak within the hour.
 [[nodiscard]] stats::BinnedSeries hourly_attacked_systems(
     const flow::FlowList& flows, const ConservativeFilterConfig& filter,
-    util::Timestamp start, int days, exec::ThreadPool* pool = nullptr);
+    util::Timestamp start, int days);
 
 /// The paper's metric pair for one window size.
 struct WindowMetrics {

@@ -10,8 +10,8 @@ namespace booterscope::exec {
 
 namespace {
 
-/// Worker index of the current thread, set for the lifetime of the worker
-/// loop. thread_local so current_worker() costs one TLS read on hot paths.
+/// Worker index of the current thread (-1 off-pool), set for the lifetime
+/// of the worker loop; submit() routes a worker's tasks to its own deque.
 thread_local int tls_worker_index = -1;
 
 }  // namespace
@@ -38,6 +38,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
         &registry.counter("booterscope_exec_steals_total", labels));
     busy_metrics_.push_back(
         &registry.gauge("booterscope_exec_worker_busy_seconds", labels));
+    // The gauge mirrors worker_busy_nanos(i), which starts at zero; an
+    // earlier pool's value must not linger on a worker that stays idle.
+    busy_metrics_.back()->set(0.0);
   }
   workers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -225,7 +228,5 @@ std::size_t ThreadPool::busy_workers() const noexcept {
   }
   return busy;
 }
-
-int ThreadPool::current_worker() noexcept { return tls_worker_index; }
 
 }  // namespace booterscope::exec

@@ -61,11 +61,6 @@ class ThreadPool {
   /// pool executes. Safe for any n, including 0. Must be called off-pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// Index of the executing pool worker, or -1 on a non-pool thread. Use
-  /// for *attribution* (stage trees, metric labels) only — never to derive
-  /// randomness or merge order, which must stay thread-independent.
-  [[nodiscard]] static int current_worker() noexcept;
-
   /// Total tasks executed / steals performed since construction. Kept in
   /// plain atomics (not the metrics registry) so they stay observable under
   /// BOOTERSCOPE_NO_METRICS builds.

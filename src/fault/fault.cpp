@@ -27,7 +27,6 @@ FaultProfile FaultProfile::light() noexcept {
   FaultProfile p;
   p.outage_fraction = 0.02;
   p.flap_fraction = 0.01;
-  p.clock_skew_max_ms = 30'000;
   p.drop = 0.02;
   p.duplicate = 0.01;
   p.reorder = 0.01;
@@ -41,7 +40,6 @@ FaultProfile FaultProfile::heavy() noexcept {
   FaultProfile p;
   p.outage_fraction = 0.10;
   p.flap_fraction = 0.05;
-  p.clock_skew_max_ms = 120'000;
   p.drop = 0.10;
   p.duplicate = 0.05;
   p.reorder = 0.05;
@@ -66,9 +64,8 @@ std::optional<FaultProfile> FaultProfile::parse(
 }
 
 bool FaultProfile::enabled() const noexcept {
-  return outage_fraction > 0.0 || flap_fraction > 0.0 ||
-         clock_skew_max_ms != 0 || drop > 0.0 || duplicate > 0.0 ||
-         reorder > 0.0 || truncate > 0.0 || bitflip > 0.0 ||
+  return outage_fraction > 0.0 || flap_fraction > 0.0 || drop > 0.0 ||
+         duplicate > 0.0 || reorder > 0.0 || truncate > 0.0 || bitflip > 0.0 ||
          template_loss > 0.0;
 }
 
@@ -100,11 +97,6 @@ FaultPlan::FaultPlan(std::uint64_t seed, const FaultProfile& profile,
       }
       schedule.flap_bits[di] = bits;
     }
-    if (profile.clock_skew_max_ms != 0) {
-      util::Rng skew_rng = util::Rng::split(seed, "fault.skew", v);
-      const std::int64_t max_ms = profile.clock_skew_max_ms;
-      schedule.skew = util::Duration::millis(skew_rng.range(-max_ms, max_ms));
-    }
   }
 }
 
@@ -134,11 +126,6 @@ double FaultPlan::day_coverage(std::size_t vantage, int day) const noexcept {
   if (schedule.day_out[di]) return 0.0;
   const int flapped = std::popcount(schedule.flap_bits[di]);
   return static_cast<double>(24 - flapped) / 24.0;
-}
-
-util::Duration FaultPlan::clock_skew(std::size_t vantage) const noexcept {
-  if (vantage >= vantages_.size()) return util::Duration{};
-  return vantages_[vantage].skew;
 }
 
 void FaultPlan::apply_coverage(stats::BinnedSeries& daily,

@@ -2,10 +2,10 @@
 //
 // The paper's verdicts rest on telemetry that is lossy in the real world:
 // vantage points go dark for hours or days, export packets are dropped,
-// duplicated, reordered, truncated or bit-flipped in flight, templates
-// arrive late or never, and exporter clocks drift. This subsystem makes all
-// of that injectable under a single fault seed, with the same determinism
-// contract as the simulator: every decision is a pure function of
+// duplicated, reordered, truncated or bit-flipped in flight, and templates
+// arrive late or never. This subsystem makes all of that injectable under
+// a single fault seed, with the same determinism contract as the
+// simulator: every decision is a pure function of
 // (fault_seed, label, index) via util::Rng::split, so a faulted run is
 // replayable byte-for-byte at any thread count.
 #pragma once
@@ -35,8 +35,6 @@ struct FaultProfile {
   double outage_fraction = 0.0;
   /// P(a given hour flaps — is lost — on an otherwise-up day).
   double flap_fraction = 0.0;
-  /// Per-vantage clock skew is drawn uniformly in [-max, +max] ms.
-  std::int64_t clock_skew_max_ms = 0;
   /// Export packet channel faults, applied per packet in offer order.
   double drop = 0.0;
   double duplicate = 0.0;
@@ -48,7 +46,7 @@ struct FaultProfile {
   double template_loss = 0.0;
 
   [[nodiscard]] static FaultProfile none() noexcept { return {}; }
-  /// Mild degradation: ~2% losses everywhere, 30s skew.
+  /// Mild degradation: ~2% losses everywhere.
   [[nodiscard]] static FaultProfile light() noexcept;
   /// The acceptance scenario: 10% day outages plus heavy channel faults.
   [[nodiscard]] static FaultProfile heavy() noexcept;
@@ -62,8 +60,8 @@ struct FaultProfile {
 };
 
 /// Precomputed, immutable fault schedule for one run: which vantage is dark
-/// when, and each vantage's clock skew. Built once from the fault seed;
-/// lookups are pure reads, safe from any thread.
+/// when. Built once from the fault seed; lookups are pure reads, safe from
+/// any thread.
 class FaultPlan {
  public:
   FaultPlan(std::uint64_t seed, const FaultProfile& profile,
@@ -84,8 +82,6 @@ class FaultPlan {
   /// Observed fraction of (vantage, day): 0 on an outage day, otherwise
   /// (24 - flapped hours) / 24.
   [[nodiscard]] double day_coverage(std::size_t vantage, int day) const noexcept;
-  /// The vantage's constant clock skew.
-  [[nodiscard]] util::Duration clock_skew(std::size_t vantage) const noexcept;
 
   /// Stamps day_coverage() onto a daily series that starts at the plan's
   /// start (gap-aware analysis input). Series with other bin widths or
@@ -99,7 +95,6 @@ class FaultPlan {
   struct VantageSchedule {
     std::vector<bool> day_out;
     std::vector<std::uint32_t> flap_bits;  // bit h set = hour h lost
-    util::Duration skew;
   };
 
   std::uint64_t seed_;

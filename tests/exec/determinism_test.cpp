@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/takedown.hpp"
-#include "exec/vantage_pipeline.hpp"
 #include "obs/manifest.hpp"
 #include "flow/batch.hpp"
 #include "sim/landscape.hpp"
@@ -162,75 +160,6 @@ TEST(ParallelDeterminism, GoldenManifestBytesIdenticalAcrossPoolSizes) {
   EXPECT_EQ(golden, manifest_for(4));
   EXPECT_EQ(golden, manifest_for(0));  // 0 = hardware concurrency
   EXPECT_NE(golden.find("\"balanced\":true"), std::string::npos);
-}
-
-TEST(ParallelDeterminism, SeriesBuildersIdenticalAcrossPoolSizes) {
-  exec::ThreadPool pool1(1);
-  const auto result =
-      sim::run_landscape(shared_internet(), tiny_config(), pool1);
-  const auto& flows = result.ixp.store.flows();
-  const util::Timestamp start = result.config.start;
-  const int days = result.config.days;
-
-  exec::ThreadPool pool4(4);
-  exec::ThreadPool pool8(8);
-  const auto s1 = core::daily_packets_to_port(flows, net::ports::kNtp, start,
-                                              days, &pool1);
-  const auto s4 = core::daily_packets_to_port(flows, net::ports::kNtp, start,
-                                              days, &pool4);
-  const auto s8 = core::daily_packets_to_port(flows, net::ports::kNtp, start,
-                                              days, &pool8);
-  EXPECT_EQ(s1.values(), s4.values());
-  EXPECT_EQ(s1.values(), s8.values());
-
-  // hourly_attacked_systems counts integers per hour: the parallel
-  // summarize step must be bit-identical to the serial loop.
-  const auto h_serial =
-      core::hourly_attacked_systems(flows, {}, start, days, nullptr);
-  const auto h_pool =
-      core::hourly_attacked_systems(flows, {}, start, days, &pool4);
-  EXPECT_EQ(h_serial.values(), h_pool.values());
-}
-
-TEST(ParallelDeterminism, VantageChainsIdenticalAndConserving) {
-  exec::ThreadPool pool1(1);
-  const auto result =
-      sim::run_landscape(shared_internet(), tiny_config(), pool1);
-
-  const auto make_specs = [&] {
-    std::vector<exec::VantageChainSpec> specs(3);
-    specs[0].name = "ixp";
-    specs[0].input = &result.ixp.store.flows();
-    specs[0].sampling = 10;
-    specs[1].name = "tier1";
-    specs[1].input = &result.tier1.store.flows();
-    specs[1].sampling = 4;
-    specs[2].name = "tier2";
-    specs[2].input = &result.tier2.store.flows();
-    specs[2].sampling = 1;
-    for (auto& spec : specs) spec.sampler_seed = 99;
-    return specs;
-  };
-
-  const auto specs = make_specs();
-  exec::ThreadPool pool4(4);
-  const auto out1 = exec::run_vantage_chains(specs, pool1);
-  const auto out4 = exec::run_vantage_chains(specs, pool4);
-  ASSERT_EQ(out1.size(), out4.size());
-  for (std::size_t i = 0; i < out1.size(); ++i) {
-    EXPECT_EQ(out1[i].exported, out4[i].exported) << specs[i].name;
-    EXPECT_EQ(out1[i].offered_packets, out4[i].offered_packets);
-    EXPECT_EQ(out1[i].sampled_out_packets, out4[i].sampled_out_packets);
-    // Conservation: offered == sampled_out + exported (cache empty after
-    // drain).
-    EXPECT_EQ(out1[i].offered_packets,
-              out1[i].sampled_out_packets +
-                  out1[i].stats.total_exported_packets())
-        << specs[i].name;
-    EXPECT_EQ(out1[i].stats.cached_packets, 0u);
-  }
-  EXPECT_EQ(exec::merge_exports_by_time(out1),
-            exec::merge_exports_by_time(out4));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // booterscope::fault unit contract: profiles, plans, the lossy packet
-// channel, the integrity ledger, and the exec quarantine path.
+// channel and the integrity ledger.
 #include "fault/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/vantage_pipeline.hpp"
 #include "obs/manifest.hpp"
-#include "util/rng.hpp"
 
 namespace booterscope::fault {
 namespace {
@@ -35,7 +33,6 @@ TEST(FaultPlan, SameSeedSameSchedule) {
   const FaultPlan a(42, profile, kStart, 60, 3);
   const FaultPlan b(42, profile, kStart, 60, 3);
   for (std::size_t v = 0; v < 3; ++v) {
-    EXPECT_EQ(a.clock_skew(v), b.clock_skew(v)) << v;
     for (int d = 0; d < 60; ++d) {
       EXPECT_EQ(a.day_out(v, d), b.day_out(v, d)) << v << "," << d;
       EXPECT_EQ(a.day_coverage(v, d), b.day_coverage(v, d)) << v << "," << d;
@@ -93,20 +90,6 @@ TEST(FaultPlan, OutAtAndCoverageAgree) {
   EXPECT_FALSE(plan.out_at(9, kStart));
   EXPECT_DOUBLE_EQ(plan.day_coverage(0, -1), 1.0);
   EXPECT_DOUBLE_EQ(plan.day_coverage(0, 60), 1.0);
-}
-
-TEST(FaultPlan, ClockSkewBoundedAndStable) {
-  const FaultProfile profile = FaultProfile::heavy();
-  const FaultPlan plan(3, profile, kStart, 10, 8);
-  bool any_nonzero = false;
-  for (std::size_t v = 0; v < 8; ++v) {
-    const std::int64_t ms = plan.clock_skew(v).total_millis();
-    EXPECT_GE(ms, -profile.clock_skew_max_ms) << v;
-    EXPECT_LE(ms, profile.clock_skew_max_ms) << v;
-    if (ms != 0) any_nonzero = true;
-  }
-  EXPECT_TRUE(any_nonzero);
-  EXPECT_EQ(plan.clock_skew(99), Duration{});
 }
 
 TEST(FaultPlan, AppliesCoverageToDailySeriesOnly) {
@@ -217,76 +200,6 @@ TEST(IntegrityTally, BalancesAndMerges) {
   const std::string json = manifest.to_json(nullptr, nullptr);
   EXPECT_NE(json.find("\"packet_integrity\""), std::string::npos);
   EXPECT_NE(json.find("\"packets_failed_bad_version\":4"), std::string::npos);
-}
-
-flow::FlowRecord tiny_flow(util::Rng& rng, Timestamp base) {
-  flow::FlowRecord f;
-  f.src = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
-  f.dst = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
-  f.src_port = static_cast<std::uint16_t>(rng.bounded(65536));
-  f.dst_port = 123;
-  f.proto = net::IpProto::kUdp;
-  f.packets = rng.bounded(100) + 1;
-  f.bytes = f.packets * 468;
-  f.first = base + Duration::seconds(static_cast<std::int64_t>(rng.bounded(3600)));
-  f.last = f.first + Duration::seconds(10);
-  return f;
-}
-
-TEST(Quarantine, FailingChainDoesNotTakeDownTheRun) {
-  util::Rng rng(1);
-  flow::FlowList good_flows;
-  for (int i = 0; i < 50; ++i) good_flows.push_back(tiny_flow(rng, kStart));
-
-  exec::VantageChainSpec good;
-  good.name = "good";
-  good.input = &good_flows;
-  exec::VantageChainSpec broken;
-  broken.name = "broken";
-  broken.input = nullptr;  // the quarantinable failure
-
-  exec::ThreadPool pool(2);
-  const auto outputs =
-      exec::run_vantage_chains({good, broken}, pool, nullptr);
-  ASSERT_EQ(outputs.size(), 2u);
-  EXPECT_FALSE(outputs[0].quarantined);
-  EXPECT_FALSE(outputs[0].exported.empty());
-  EXPECT_TRUE(outputs[1].quarantined);
-  EXPECT_TRUE(outputs[1].exported.empty());
-  EXPECT_NE(outputs[1].error.find("broken"), std::string::npos);
-}
-
-TEST(Quarantine, OutageWindowsFilterChainInput) {
-  util::Rng rng(2);
-  flow::FlowList flows;
-  for (int i = 0; i < 400; ++i) {
-    flow::FlowRecord f = tiny_flow(rng, kStart);
-    f.first = kStart + Duration::hours(static_cast<std::int64_t>(rng.bounded(20 * 24)));
-    f.last = f.first + Duration::seconds(10);
-    flows.push_back(f);
-  }
-  const FaultPlan plan(13, FaultProfile::outage_only(0.4), kStart, 20, 1);
-
-  exec::VantageChainSpec spec;
-  spec.name = "faulted";
-  spec.input = &flows;
-  spec.fault_plan = &plan;
-  spec.vantage_index = 0;
-  exec::VantageChainSpec clean = spec;
-  clean.name = "clean";
-  clean.fault_plan = nullptr;
-
-  exec::ThreadPool pool(2);
-  const auto outputs = exec::run_vantage_chains({spec, clean}, pool, nullptr);
-  ASSERT_EQ(outputs.size(), 2u);
-  EXPECT_GT(outputs[0].outage_dropped_flows, 0u);
-  EXPECT_EQ(outputs[1].outage_dropped_flows, 0u);
-  EXPECT_LT(outputs[0].offered_packets, outputs[1].offered_packets);
-  // Conservation still holds on the faulted chain's reduced input.
-  std::uint64_t exported_packets = 0;
-  for (const auto& f : outputs[0].exported) exported_packets += f.packets;
-  EXPECT_EQ(outputs[0].offered_packets,
-            outputs[0].sampled_out_packets + exported_packets);
 }
 
 }  // namespace

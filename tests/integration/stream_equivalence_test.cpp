@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/stream_analysis.hpp"
@@ -217,8 +218,11 @@ TEST(StreamEquivalence, OutageFilteringMatchesTheStoreBoundaryFilter) {
                                               ref.config.days);
   plan.apply_coverage(expected, flow::kVantageIxp);
 
+  // A faulted run is the same bytes at every pool size (DESIGN.md §10).
   const sim::Internet internet{sim::InternetConfig{}};
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     exec::ThreadPool pool(threads);
     fault::IntegrityTally tally;
     core::StreamAnalysis analysis(ref.config.start, ref.config.days,

@@ -717,6 +717,29 @@ TEST(BenchdiffCheck, FlagsInternalInconsistency) {
             std::string::npos);
 }
 
+TEST(BenchdiffCheck, FlagsUtilizationAboveOne) {
+  // A saturated pool (utilization exactly 1) is legitimate; anything above
+  // 1 means pool work ran outside the timed wall.
+  const auto with_utilization = [](const std::string& value) {
+    std::string json = ledger_json(FixtureSpec{});
+    const std::string half = "\"utilization\":0.5";
+    json.replace(json.find(half), half.size(), "\"utilization\":" + value);
+    std::string error;
+    const std::optional<Ledger> ledger = parse_ledger(json, &error);
+    EXPECT_TRUE(ledger) << error;
+    return *ledger;
+  };
+  EXPECT_TRUE(check_ledger(with_utilization("1")).empty());
+
+  const std::vector<Finding> findings =
+      check_ledger(with_utilization("1.0202264337712155"));
+  ASSERT_EQ(findings.size(), 1u) << render_report({findings, {}, 1});
+  EXPECT_EQ(findings[0].kind, Finding::Kind::kStructural);
+  EXPECT_EQ(findings[0].metric, "pool");
+  EXPECT_NE(findings[0].detail.find("outside the timed wall"),
+            std::string::npos);
+}
+
 class BenchdiffDirs : public testing::Test {
  protected:
   void SetUp() override {

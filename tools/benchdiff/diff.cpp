@@ -274,6 +274,14 @@ std::vector<Finding> check_ledger(const Ledger& ledger) {
     }
   }
   if (ledger.utilization < 0.0) flag("pool", "negative utilization");
+  // Pool tasks run inside the timed wall, so busy time cannot exceed
+  // workers x wall; a ratio above 1 means work ran outside the wall and
+  // the ledger's per-worker busy figures overstate the timed run.
+  if (ledger.utilization > 1.0 + 1e-9) {
+    flag("pool", "utilization " + std::to_string(ledger.utilization) +
+                     " exceeds 1: pool busy time was counted outside the "
+                     "timed wall");
+  }
   if (ledger.resource_series) {
     const Ledger::ResourceSeries& series = *ledger.resource_series;
     const std::uint64_t n = series.samples;

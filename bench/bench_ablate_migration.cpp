@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "util/table.hpp"
 
@@ -40,12 +41,16 @@ int main(int argc, char** argv) {
     config.takedown = util::Timestamp::parse("2018-12-19").value();
     config.attacks_per_day = 150.0;
     config.demand_migration = world.migration;
-    const auto result = sim::run_landscape(internet, config, pool);
+    core::SeriesSpec victims;
+    victims.name = "from reflectors, IXP";
+    victims.kind = core::SeriesSpec::Kind::kFromReflectors;
+    core::StreamAnalysis analysis(config.start, config.days, {victims});
+    const auto result =
+        sim::run_landscape(internet, config, pool, nullptr, &analysis);
+    analysis.finish();
 
-    const auto victim_metrics = core::takedown_metrics(
-        core::daily_packets_from_reflectors(result.ixp.store.flows(), {},
-                                            config.start, config.days),
-        *config.takedown);
+    const auto victim_metrics =
+        core::takedown_metrics(analysis.series(0), *config.takedown);
     stats::BinnedSeries attacks_daily(config.start, util::Duration::days(1),
                                       static_cast<std::size_t>(config.days));
     for (const auto& attack : result.attacks) attacks_daily.add(attack.start, 1.0);

@@ -6,12 +6,17 @@
 // reads an outage day as a traffic drop and can hallucinate (or mask) a
 // takedown effect, while the gap-aware analysis excludes under-covered
 // days via the series' coverage mask and reports the effective window it
-// actually compared. The run's integrity ledger (offered == kept +
-// dropped-by-outage) lands in OBS_ablate_outage.manifest.json.
+// actually compared. One streaming pass feeds one core::StreamAnalysis per
+// outage fraction, each dropping the rows its own FaultPlan darkens; the
+// run's integrity ledger (offered == kept + dropped-by-outage, summed over
+// every fraction and vantage) lands in OBS_ablate_outage.manifest.json.
+#include <deque>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "util/table.hpp"
 
@@ -33,28 +38,51 @@ int main(int argc, char** argv) {
   // The sweep injects its own outage schedules below; a profile passed on
   // the command line would double-apply.
   options.fault_profile = "none";
-  bench::LandscapeWorld world(options);
-  const auto& cfg = world.result.config;
+  bench::StreamWorld world(options);
+  world.fault_profile_name = "outage-sweep";
+  const auto& cfg = world.config;
   const util::Timestamp takedown = *cfg.takedown;
-  const std::uint64_t fault_seed = options.fault_seed;
 
   struct Series {
     const char* name;
-    const flow::FlowList* flows;
     std::uint16_t port;
     std::size_t vantage;
   };
   const Series series[] = {
-      {"NTP to reflectors, tier-2", &world.result.tier2.store.flows(),
-       net::ports::kNtp, bench::LandscapeWorld::kTier2},
-      {"memcached to reflectors, IXP", &world.result.ixp.store.flows(),
-       net::ports::kMemcached, bench::LandscapeWorld::kIxp},
+      {"NTP to reflectors, tier-2", net::ports::kNtp, flow::kVantageTier2},
+      {"memcached to reflectors, IXP", net::ports::kMemcached,
+       flow::kVantageIxp},
   };
-
-  fault::IntegrityTally tally;
-  const double fractions[] = {0.0, 0.05, 0.10, 0.20, 0.30};
-
+  std::vector<core::SeriesSpec> specs;
   for (const Series& s : series) {
+    core::SeriesSpec spec;
+    spec.name = s.name;
+    spec.vantage = s.vantage;
+    spec.port = s.port;
+    specs.push_back(std::move(spec));
+  }
+
+  const double fractions[] = {0.0, 0.05, 0.10, 0.20, 0.30};
+  std::vector<fault::FaultPlan> plans;
+  for (const double fraction : fractions) {
+    plans.emplace_back(options.fault_seed,
+                       fault::FaultProfile::outage_only(fraction), cfg.start,
+                       cfg.days, flow::kVantageCount);
+  }
+  std::deque<core::StreamAnalysis> analyses;
+  std::vector<flow::FlowBatchSink*> sinks;
+  for (const fault::FaultPlan& plan : plans) {
+    core::StreamAnalysis& analysis =
+        analyses.emplace_back(cfg.start, cfg.days, specs);
+    analysis.set_fault_plan(&plan, &world.integrity);
+    sinks.push_back(&analysis);
+  }
+  flow::FanOutSink sweep(std::move(sinks));
+  world.run(sweep);
+  for (core::StreamAnalysis& analysis : analyses) analysis.finish();
+
+  for (std::size_t si = 0; si < std::size(series); ++si) {
+    const Series& s = series[si];
     std::cout << s.name << ":\n";
     util::Table table({"outage", "flows dropped", "days excluded",
                        "wt30 naive", "wt30 gap-aware", "red30 gap-aware",
@@ -63,23 +91,14 @@ int main(int argc, char** argv) {
     bool wt40_clean = false;
     bool wt30_stable = true;
     bool wt40_stable = true;
-    for (const double fraction : fractions) {
-      const fault::FaultPlan plan(fault_seed,
-                                  fault::FaultProfile::outage_only(fraction),
-                                  cfg.start, cfg.days, 3);
-      flow::FlowList kept = *s.flows;
-      std::erase_if(kept, [&](const flow::FlowRecord& f) {
-        return plan.out_at(s.vantage, f.first);
-      });
-      const std::uint64_t dropped =
-          static_cast<std::uint64_t>(s.flows->size() - kept.size());
-      tally.offered += s.flows->size();
-      tally.dropped_by_fault += dropped;
-      tally.decoded_clean += kept.size();
+    for (std::size_t fi = 0; fi < std::size(fractions); ++fi) {
+      const double fraction = fractions[fi];
+      core::StreamAnalysis& analysis = analyses[fi];
+      const std::uint64_t dropped = world.summary.vantage_flows[s.vantage] -
+                                    analysis.kept_flows(s.vantage);
 
-      auto daily =
-          core::daily_packets_to_port(kept, s.port, cfg.start, cfg.days);
-      plan.apply_coverage(daily, s.vantage);
+      stats::BinnedSeries& daily = analysis.mutable_series(si);
+      plans[fi].apply_coverage(daily, s.vantage);
       // Naive: min_coverage 0 keeps every day, outages and all.
       const auto naive = core::takedown_metrics(daily, takedown, 0.05, 0.0);
       const auto aware = core::takedown_metrics(daily, takedown);
@@ -116,13 +135,9 @@ int main(int argc, char** argv) {
        "outage days read as traffic drops unless excluded by coverage"},
   });
 
-  bench::write_observability("ablate_outage", cfg, &world.tracer, world.pool.size(),
-                             &tally, "outage-sweep", fault_seed);
-  bench::write_perf_ledger("ablate_outage", cfg, &world.tracer, &world.pool,
-                           world.run_wall_nanos, world.result_items(),
-                           world.result.work, "outage-sweep", fault_seed,
-                           world.sampler.get());
-  bench::write_timeline("ablate_outage", world.tracer, world.write_trace,
-                        world.sampler.get(), world.watchdog.get());
+  // `items` counts every flow the run produced, as an unfaulted run does:
+  // the sweep's drops live in the integrity ledger, not in the output size.
+  world.write_observability("ablate_outage",
+                            world.result_items(world.summary.total_flows()));
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common.hpp"
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "core/victims.hpp"
 #include "util/table.hpp"
@@ -32,7 +33,13 @@ int main(int argc, char** argv) {
     config.ixp_window.reset();
     config.attacks_per_day = 150.0;
     config.ixp_sampling = sampling;
-    const auto result = sim::run_landscape(internet, config, pool);
+    core::SeriesSpec ntp;
+    ntp.name = "NTP to reflectors, IXP";
+    ntp.port = net::ports::kNtp;
+    core::StreamAnalysis analysis(config.start, config.days, {ntp});
+    const auto result =
+        sim::run_landscape(internet, config, pool, nullptr, &analysis);
+    analysis.finish();
 
     core::VictimAggregator aggregator;
     for (const auto& f : result.ixp.store.flows()) aggregator.add(f);
@@ -56,10 +63,8 @@ int main(int argc, char** argv) {
       ++error_count;
     }
 
-    const auto metrics = core::takedown_metrics(
-        core::daily_packets_to_port(result.ixp.store.flows(), net::ports::kNtp,
-                                    config.start, config.days),
-        *config.takedown);
+    const auto metrics =
+        core::takedown_metrics(analysis.series(0), *config.takedown);
 
     table.row()
         .add("1/" + std::to_string(sampling))

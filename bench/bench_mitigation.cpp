@@ -11,6 +11,7 @@
 
 #include "common.hpp"
 #include "core/mitigation.hpp"
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "util/table.hpp"
 
@@ -45,12 +46,16 @@ int main(int argc, char** argv) {
   const util::Timestamp event = util::Timestamp::parse("2018-12-01").value();
   std::vector<Row> rows;
 
-  auto victim_metrics = [&](const sim::LandscapeResult& result) {
-    return core::takedown_metrics(
-        core::daily_packets_from_reflectors(result.ixp.store.flows(), {},
-                                            result.config.start,
-                                            result.config.days),
-        event);
+  // Victim-bound verdict of one world: only the series is needed, so the
+  // run streams into the analysis and never materializes.
+  auto victim_metrics = [&](const sim::LandscapeConfig& config) {
+    core::SeriesSpec victims;
+    victims.name = "from reflectors, IXP";
+    victims.kind = core::SeriesSpec::Kind::kFromReflectors;
+    core::StreamAnalysis analysis(config.start, config.days, {victims});
+    (void)sim::run_landscape_stream(internet, config, pool, analysis);
+    analysis.finish();
+    return core::takedown_metrics(analysis.series(0), event);
   };
   auto fmt = [](const core::TakedownMetrics& m) {
     return std::string(m.wt30.significant ? "SIGNIFICANT, to "
@@ -62,9 +67,8 @@ int main(int argc, char** argv) {
   {
     auto config = base_config();
     config.takedown = event;
-    const auto result = sim::run_landscape(internet, config, pool);
     rows.push_back({"domain takedown (15 of 30 booters)",
-                    fmt(victim_metrics(result)),
+                    fmt(victim_metrics(config)),
                     "demand migrates within days (§5)"});
   }
 
@@ -73,11 +77,10 @@ int main(int argc, char** argv) {
     auto config = base_config();
     config.remediation_start = event;
     config.remediation_per_day = per_day;
-    const auto result = sim::run_landscape(internet, config, pool);
     rows.push_back(
         {"reflector remediation, " +
              util::format_double(per_day * 100.0, 0) + "%/day",
-         fmt(victim_metrics(result)),
+         fmt(victim_metrics(config)),
          "amplification capacity itself shrinks"});
   }
 

@@ -10,6 +10,7 @@
 //   $ ./examples/takedown_whatif
 #include <iostream>
 
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/internet.hpp"
@@ -48,16 +49,24 @@ int main() {
     config.attacks_per_day = 200.0;
     config.extra_booters = scenario.extra_booters;
     config.extra_seized = scenario.extra_seized;
-    const auto result = sim::run_landscape(internet, config, pool);
+    // Both IXP series ride the run's drain; the materialized result carries
+    // the ground-truth attack list read below.
+    core::SeriesSpec reflectors;
+    reflectors.name = "NTP to reflectors";
+    reflectors.port = net::ports::kNtp;
+    core::SeriesSpec victims;
+    victims.name = "from reflectors";
+    victims.kind = core::SeriesSpec::Kind::kFromReflectors;
+    core::StreamAnalysis analysis(config.start, config.days,
+                                  {reflectors, victims});
+    const auto result =
+        sim::run_landscape(internet, config, pool, nullptr, &analysis);
+    analysis.finish();
 
-    const auto reflector_metrics = core::takedown_metrics(
-        core::daily_packets_to_port(result.ixp.store.flows(), net::ports::kNtp,
-                                    config.start, config.days),
-        *config.takedown);
-    const auto victim_metrics = core::takedown_metrics(
-        core::daily_packets_from_reflectors(result.ixp.store.flows(), {},
-                                            config.start, config.days),
-        *config.takedown);
+    const auto reflector_metrics =
+        core::takedown_metrics(analysis.series(0), *config.takedown);
+    const auto victim_metrics =
+        core::takedown_metrics(analysis.series(1), *config.takedown);
 
     stats::BinnedSeries attacks_daily(config.start, util::Duration::days(1),
                                       static_cast<std::size_t>(config.days));

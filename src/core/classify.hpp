@@ -12,8 +12,10 @@
 // paper's NTP destination count by 78% (a: 74%, b: 59%).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
+#include "flow/batch.hpp"
 #include "flow/record.hpp"
 #include "net/protocol.hpp"
 
@@ -32,12 +34,33 @@ struct OptimisticFilterConfig {
          f.mean_packet_size() > config.min_mean_packet_bytes;
 }
 
+/// Row form of the same test over a columnar batch: the streaming hot
+/// path reads only the columns it needs, never a whole record. The port
+/// is tested first because it rejects most rows, so the protocol column
+/// is read only for rows on the selector's port.
+[[nodiscard]] inline bool is_reflection_flow(
+    const flow::FlowBatchView& batch, std::size_t row,
+    const OptimisticFilterConfig& config = {}) noexcept {
+  return batch.src_port[row] == config.service_port &&
+         batch.proto[row] == net::IpProto::kUdp &&
+         batch.mean_packet_size(row) > config.min_mean_packet_bytes;
+}
+
 /// Flow-level test: is this flow *to* a reflector port (trigger,
 /// maintenance, scanning or benign request traffic)? This is the selector
 /// behind the Fig. 4 time series.
 [[nodiscard]] inline bool is_to_reflector_flow(const flow::FlowRecord& f,
                                                std::uint16_t service_port) noexcept {
   return f.proto == net::IpProto::kUdp && f.dst_port == service_port;
+}
+
+/// Row form of is_to_reflector_flow over a columnar batch (port first,
+/// as above).
+[[nodiscard]] inline bool is_to_reflector_flow(
+    const flow::FlowBatchView& batch, std::size_t row,
+    std::uint16_t service_port) noexcept {
+  return batch.dst_port[row] == service_port &&
+         batch.proto[row] == net::IpProto::kUdp;
 }
 
 struct ConservativeFilterConfig {

@@ -9,8 +9,8 @@ namespace booterscope::core {
 
 namespace {
 
-/// Same per-pass accounting the materialized series builders emit
-/// (takedown.cpp), so a shifted verdict is traceable either way.
+/// One series pass: counts scanned and selected flows per series kind so a
+/// shifted wtN/redN can be traced to its input population.
 void count_series_pass(std::string_view kind, std::uint64_t scanned,
                        std::uint64_t selected) {
   obs::MetricsRegistry& registry = obs::metrics();
@@ -35,7 +35,7 @@ StreamAnalysis::StreamAnalysis(util::Timestamp start, int days,
     SpecState state{std::move(spec),
                     stats::BinnedSeries(start, util::Duration::days(1),
                                         static_cast<std::size_t>(days)),
-                    0, 0};
+                    0};
     specs_.push_back(std::move(state));
   }
 }
@@ -65,29 +65,19 @@ void StreamAnalysis::consume(std::size_t vantage,
       continue;
     }
     ++kept_[vantage];
-    const bool udp = batch.proto[i] == net::IpProto::kUdp;
     for (SpecState& state : specs_) {
       if (state.spec.vantage != vantage) continue;
-      ++state.scanned;
-      bool selected = false;
-      if (state.spec.kind == SeriesSpec::Kind::kToPort) {
-        selected = udp && batch.dst_port[i] == state.spec.port;
-      } else {
-        selected = udp && batch.src_port[i] == state.spec.filter.service_port &&
-                   batch.mean_packet_size(i) >
-                       state.spec.filter.min_mean_packet_bytes;
-      }
+      const bool selected =
+          state.spec.kind == SeriesSpec::Kind::kToPort
+              ? is_to_reflector_flow(batch, i, state.spec.port)
+              : is_reflection_flow(batch, i, state.spec.filter);
       if (selected) {
         state.series.add(batch.first[i], batch.scaled_packets(i));
         ++state.selected;
       }
     }
     if (victims_ != nullptr && victims_->vantage == vantage) {
-      ++victims_->scanned;
-      if (udp &&
-          batch.src_port[i] == victims_->filter.optimistic.service_port &&
-          batch.mean_packet_size(i) >
-              victims_->filter.optimistic.min_mean_packet_bytes) {
+      if (is_reflection_flow(batch, i, victims_->filter.optimistic)) {
         const std::int64_t hour =
             batch.first[i].floor_to(util::Duration::hours(1)).nanos();
         auto [it, inserted] =
@@ -128,14 +118,15 @@ void StreamAnalysis::finish() {
   finished_ = true;
   finalize_hours_before(
       util::Timestamp::from_nanos(std::numeric_limits<std::int64_t>::max()));
+  // Every kept row of a series' vantage was scanned by its selector.
   for (const SpecState& state : specs_) {
     count_series_pass(state.spec.kind == SeriesSpec::Kind::kToPort
                           ? "to_port"
                           : "from_reflectors",
-                      state.scanned, state.selected);
+                      kept_[state.spec.vantage], state.selected);
   }
   if (victims_ != nullptr) {
-    count_series_pass("attacked_systems", victims_->scanned,
+    count_series_pass("attacked_systems", kept_[victims_->vantage],
                       victims_->selected);
   }
   if (fault_plan_ != nullptr && integrity_ != nullptr) {

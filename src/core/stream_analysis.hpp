@@ -1,8 +1,9 @@
 // One-pass analysis sinks for the streaming flow engine (DESIGN.md §14).
 //
-// StreamAnalysis is the bounded-memory replacement for the materialized
-// scan chain: it consumes columnar FlowBatchViews as the landscape drains
-// and maintains, in one pass,
+// StreamAnalysis is the one series path behind every takedown verdict: it
+// consumes columnar FlowBatchViews as the landscape drains (directly, or
+// through sim::run_landscape's `analysis` tee when the caller also keeps
+// the flows) and maintains, in one pass,
 //   - every configured daily BinnedSeries (to-port and from-reflectors
 //     selectors, the Fig. 4 panels),
 //   - optionally the hourly attacked-systems series (Fig. 5), finalizing
@@ -13,9 +14,10 @@
 // Rows arrive in the producer's deterministic order (equal to a serial scan
 // of the merged FlowStores — see sim/landscape_stream.hpp), and every bin
 // contribution is an integer-valued double (scaled packet counts), so the
-// accumulated series match the materialized builders byte for byte; the
+// series are byte-identical at any pool size and batch capacity. The
 // equivalence suite in tests/integration/stream_equivalence_test.cpp pins
-// this across pool sizes and batch capacities.
+// this against a test-only serial scan of the materialized stores
+// (tests/integration/series_reference.hpp).
 //
 // TakedownAccumulator is the Welford end of the pipeline: it consumes
 // (day, value, coverage) triples online and produces wtN/redN verdicts from
@@ -76,8 +78,8 @@ class StreamAnalysis : public flow::FlowBatchSink {
   void day_complete(int day, util::Timestamp day_start) override;
 
   /// Finalizes the pass: summarizes remaining victim hours and emits the
-  /// per-series metrics counters the materialized builders emit. Call once
-  /// after the producer returns; accessors below are valid afterwards.
+  /// per-series scanned/selected metrics counters. Call once after the
+  /// producer returns; accessors below are valid afterwards.
   void finish();
 
   [[nodiscard]] std::size_t series_count() const noexcept {
@@ -115,7 +117,6 @@ class StreamAnalysis : public flow::FlowBatchSink {
   struct SpecState {
     SeriesSpec spec;
     stats::BinnedSeries series;
-    std::uint64_t scanned = 0;
     std::uint64_t selected = 0;
   };
   /// Fig. 5 state: live per-hour aggregators, finalized into the hourly
@@ -134,7 +135,6 @@ class StreamAnalysis : public flow::FlowBatchSink {
     VictimAggregatorConfig aggregator_config;
     stats::BinnedSeries series;
     std::map<std::int64_t, VictimAggregator> hours;
-    std::uint64_t scanned = 0;
     std::uint64_t selected = 0;
   };
 

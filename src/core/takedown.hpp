@@ -8,40 +8,14 @@
 //          means traffic fell to 22.5% of its pre-takedown level).
 #pragma once
 
-#include <cstdint>
-#include <unordered_set>
-#include <vector>
-
-#include "core/classify.hpp"
-#include "flow/record.hpp"
 #include "stats/timeseries.hpp"
 #include "stats/welch.hpp"
 #include "util/time.hpp"
 
 namespace booterscope::core {
 
-// The series builders are serial scans over a materialized flow list.
-// core::StreamAnalysis computes the same series in one pass over flow
-// batches and is checked bit-identical against these builders.
-
-/// Daily scaled-packet series of traffic *to* a reflector port (dst port)
-/// over [start, start + days).
-[[nodiscard]] stats::BinnedSeries daily_packets_to_port(
-    const flow::FlowList& flows, std::uint16_t service_port,
-    util::Timestamp start, int days);
-
-/// Daily scaled-packet series of reflection traffic *from* a service port
-/// to victims (optimistic filter).
-[[nodiscard]] stats::BinnedSeries daily_packets_from_reflectors(
-    const flow::FlowList& flows, const OptimisticFilterConfig& filter,
-    util::Timestamp start, int days);
-
-/// Hourly count of distinct systems under attack per the conservative
-/// filter (Fig. 5): destinations of >200-byte NTP traffic from more than
-/// `min_amplifiers` sources with a >1 Gbps peak within the hour.
-[[nodiscard]] stats::BinnedSeries hourly_attacked_systems(
-    const flow::FlowList& flows, const ConservativeFilterConfig& filter,
-    util::Timestamp start, int days);
+// The daily series these metrics consume come from core::StreamAnalysis
+// (core/stream_analysis.hpp), the one pass that rides the landscape drain.
 
 /// The paper's metric pair for one window size.
 struct WindowMetrics {
@@ -75,11 +49,6 @@ inline constexpr double kDefaultMinCoverage = 0.75;
 /// sizes; a series without a coverage mask is unaffected.
 [[nodiscard]] TakedownMetrics takedown_metrics(
     const stats::BinnedSeries& daily, util::Timestamp event,
-    double alpha = 0.05, double min_coverage = kDefaultMinCoverage);
-
-/// Same but on a sub-daily series: bins are first summed to days.
-[[nodiscard]] TakedownMetrics takedown_metrics_rebinned(
-    const stats::BinnedSeries& series, util::Timestamp event,
     double alpha = 0.05, double min_coverage = kDefaultMinCoverage);
 
 }  // namespace booterscope::core

@@ -1,5 +1,7 @@
 #include "flow/batch.hpp"
 
+#include <utility>
+
 namespace booterscope::flow {
 
 FlowBatch::FlowBatch(std::size_t capacity)
@@ -68,6 +70,17 @@ void CollectingSink::consume(std::size_t vantage, const FlowBatchView& batch) {
   if (vantage >= flows_.size()) flows_.resize(vantage + 1);
   FlowList& out = flows_[vantage];
   for (std::size_t i = 0; i < batch.size(); ++i) out.push_back(batch.record(i));
+}
+
+FanOutSink::FanOutSink(std::vector<FlowBatchSink*> sinks)
+    : sinks_(std::move(sinks)) {}
+
+void FanOutSink::consume(std::size_t vantage, const FlowBatchView& batch) {
+  for (FlowBatchSink* sink : sinks_) sink->consume(vantage, batch);
+}
+
+void FanOutSink::day_complete(int day, util::Timestamp day_start) {
+  for (FlowBatchSink* sink : sinks_) sink->day_complete(day, day_start);
 }
 
 FlowBatcher::FlowBatcher(FlowBatchSink& sink, std::size_t vantage,

@@ -150,6 +150,21 @@ class CollectingSink : public FlowBatchSink {
   std::vector<FlowList> flows_;
 };
 
+/// Tee: forwards every `consume` and `day_complete` to each sink, in the
+/// order given, so one producer pass feeds several sinks (run_landscape's
+/// CollectingSink plus the caller's analysis; one analysis per sweep point
+/// in bench_ablate_outage). The sinks must outlive the fan-out.
+class FanOutSink : public FlowBatchSink {
+ public:
+  explicit FanOutSink(std::vector<FlowBatchSink*> sinks);
+
+  void consume(std::size_t vantage, const FlowBatchView& batch) override;
+  void day_complete(int day, util::Timestamp day_start) override;
+
+ private:
+  std::vector<FlowBatchSink*> sinks_;
+};
+
 /// Row-at-a-time adapter: buffers pushes into a fixed-size batch and flushes
 /// full batches to the sink. Callers own the final `flush()` — the
 /// destructor asserts nothing is pending rather than flushing silently.

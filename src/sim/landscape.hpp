@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "flow/batch.hpp"
 #include "flow/store.hpp"
 #include "net/protocol.hpp"
 #include "obs/trace.hpp"
@@ -196,11 +197,13 @@ struct LandscapeResult {
 /// byte-identical for every pool size — a serial run is a pool of 1. When a
 /// `tracer` is passed, the engine's stages (day shards, drain) are timed
 /// into it; per-vantage emit/drop counters always go to the global obs
-/// registry.
-[[nodiscard]] LandscapeResult run_landscape(const Internet& internet,
-                                            const LandscapeConfig& config,
-                                            exec::ThreadPool& pool,
-                                            obs::StageTracer* tracer = nullptr);
+/// registry. A non-null `analysis` (typically a core::StreamAnalysis) rides
+/// the same drain behind the collector, so a caller that reads flows or
+/// ground truth gets its series from the one pass too.
+[[nodiscard]] LandscapeResult run_landscape(
+    const Internet& internet, const LandscapeConfig& config,
+    exec::ThreadPool& pool, obs::StageTracer* tracer = nullptr,
+    flow::FlowBatchSink* analysis = nullptr);
 
 /// Config with the paper's study window (Sep 30 2018 - Jan 30 2019,
 /// takedown Dec 19 2018).

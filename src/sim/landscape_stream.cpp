@@ -288,11 +288,15 @@ StreamSummary run_landscape_stream(const Internet& internet,
 LandscapeResult run_landscape(const Internet& internet,
                               const LandscapeConfig& config,
                               exec::ThreadPool& pool,
-                              obs::StageTracer* tracer) {
+                              obs::StageTracer* tracer,
+                              flow::FlowBatchSink* analysis) {
   LandscapeResult result;
   flow::CollectingSink flows;
+  std::vector<flow::FlowBatchSink*> sinks{&flows};
+  if (analysis != nullptr) sinks.push_back(analysis);
+  flow::FanOutSink drain(std::move(sinks));
   GroundTruthCollector truth(result);
-  StreamSummary summary = run_landscape_stream(internet, config, pool, flows,
+  StreamSummary summary = run_landscape_stream(internet, config, pool, drain,
                                                {}, tracer, &truth);
   result.config = config;
   result.market = std::move(summary.market);

@@ -33,22 +33,6 @@ void BinnedSeries::set_coverage(std::size_t bin, double fraction) {
   coverage_[bin] = fraction < 0.0 ? 0.0 : (fraction > 1.0 ? 1.0 : fraction);
 }
 
-void BinnedSeries::merge_from(const BinnedSeries& other) noexcept {
-  assert(other.start_ == start_);
-  assert(other.width_.total_nanos() == width_.total_nanos());
-  assert(other.values_.size() == values_.size());
-  for (std::size_t i = 0; i < values_.size(); ++i) values_[i] += other.values_[i];
-  dropped_ += other.dropped_;
-  // Coverage merges pessimistically: a bin is only as observed as its least
-  // observed contributor.
-  if (!other.coverage_.empty() || !coverage_.empty()) {
-    for (std::size_t i = 0; i < values_.size(); ++i) {
-      const double merged = std::min(coverage(i), other.coverage(i));
-      set_coverage(i, merged);
-    }
-  }
-}
-
 std::vector<double> BinnedSeries::window(util::Timestamp from,
                                          util::Timestamp to) const {
   std::vector<double> result;

@@ -64,12 +64,6 @@ class BinnedSeries {
   /// Collapses to a coarser bin width (must be an integer multiple).
   [[nodiscard]] BinnedSeries rebin(util::Duration coarser) const;
 
-  /// Bin-wise accumulation of another series with identical geometry
-  /// (start, width, bin count); drop counts accumulate too. This is the
-  /// merge step for chunked parallel series builds: partials are merged in
-  /// chunk order so the float addition order is fixed for any thread count.
-  void merge_from(const BinnedSeries& other) noexcept;
-
  private:
   util::Timestamp start_;
   util::Duration width_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/stream_analysis.hpp"
+#include "flow/batch.hpp"
 #include "util/rng.hpp"
 
 namespace booterscope::core {
@@ -26,6 +30,16 @@ flow::FlowRecord flow_to_port(std::uint16_t dst_port, Timestamp t,
   return f;
 }
 
+/// Feeds `flows` to `analysis` at the IXP slot through a FlowBatcher, the
+/// way a producer drains, in batches small enough that rows straddle batch
+/// boundaries, then finishes the pass.
+void stream(StreamAnalysis& analysis, const flow::FlowList& flows) {
+  flow::FlowBatcher batcher(analysis, flow::kVantageIxp, 2);
+  for (const flow::FlowRecord& f : flows) batcher.push(f);
+  batcher.flush();
+  analysis.finish();
+}
+
 TEST(DailySeries, SumsScaledPacketsPerDay) {
   const Timestamp start = Timestamp::parse("2018-12-01").value();
   flow::FlowList flows;
@@ -35,7 +49,11 @@ TEST(DailySeries, SumsScaledPacketsPerDay) {
   flows.push_back(
       flow_to_port(net::ports::kNtp, start + Duration::days(2), 7, 100));
   flows.push_back(flow_to_port(net::ports::kDns, start, 99));  // other port
-  const auto series = daily_packets_to_port(flows, net::ports::kNtp, start, 5);
+  SeriesSpec ntp;
+  ntp.port = net::ports::kNtp;
+  StreamAnalysis analysis(start, 5, {ntp});
+  stream(analysis, flows);
+  const auto& series = analysis.series(0);
   EXPECT_DOUBLE_EQ(series.at(0), 1500.0);
   EXPECT_DOUBLE_EQ(series.at(1), 0.0);
   EXPECT_DOUBLE_EQ(series.at(2), 700.0);
@@ -57,8 +75,11 @@ TEST(DailySeries, FromReflectorsUsesOptimisticFilter) {
   flow::FlowRecord small = attack;
   small.bytes = 100 * 90;  // benign-sized
   flows.push_back(small);
-  const auto series = daily_packets_from_reflectors(flows, {}, start, 2);
-  EXPECT_DOUBLE_EQ(series.at(0), 100.0);  // only the large-packet flow
+  SeriesSpec victims;
+  victims.kind = SeriesSpec::Kind::kFromReflectors;
+  StreamAnalysis analysis(start, 2, {victims});
+  stream(analysis, flows);
+  EXPECT_DOUBLE_EQ(analysis.series(0).at(0), 100.0);  // only the large flow
 }
 
 TEST(TakedownMetrics, DetectsInjectedStepChange) {
@@ -102,7 +123,7 @@ TEST(TakedownMetrics, RebinnedFromHourly) {
     const bool before = h < 60u * 24u;
     hourly.set(h, util::normal(rng, before ? 50.0 : 20.0, 5.0));
   }
-  const auto metrics = takedown_metrics_rebinned(hourly, event);
+  const auto metrics = takedown_metrics(hourly.rebin(Duration::days(1)), event);
   EXPECT_TRUE(metrics.wt30.significant);
   EXPECT_NEAR(metrics.wt30.reduction, 0.4, 0.03);
 }
@@ -178,7 +199,10 @@ TEST(HourlyAttackedSystems, CountsConservativeVictimsPerHour) {
   weak.last = weak.first + Duration::seconds(30);
   flows.push_back(weak);
 
-  const auto series = hourly_attacked_systems(flows, {}, start, 1);
+  StreamAnalysis analysis(start, 1, {});
+  analysis.enable_hourly_victims(flow::kVantageIxp, {});
+  stream(analysis, flows);
+  const auto& series = analysis.hourly_victims();
   EXPECT_DOUBLE_EQ(series.at(0), 1.0);
   EXPECT_DOUBLE_EQ(series.at(5), 0.0);
   double total = 0.0;

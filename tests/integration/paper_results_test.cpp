@@ -4,7 +4,12 @@
 // output drifting silently.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "core/pktsize.hpp"
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "core/victims.hpp"
 #include "sim/internet.hpp"
@@ -13,23 +18,62 @@
 namespace booterscope {
 namespace {
 
+/// The takedown series of the suite, built by the analysis that rides the
+/// run's drain (series index = position here).
+enum PaperSeries : std::size_t {
+  kMemcachedIxp,
+  kNtpTier2,
+  kDnsTier2,
+  kDnsIxp,
+  kFromReflectorsIxp,
+};
+
+std::vector<core::SeriesSpec> paper_specs() {
+  const auto to_port = [](std::size_t vantage, std::uint16_t port) {
+    core::SeriesSpec spec;
+    spec.name = "to_port";
+    spec.vantage = vantage;
+    spec.port = port;
+    return spec;
+  };
+  core::SeriesSpec control;
+  control.name = "from_reflectors";
+  control.kind = core::SeriesSpec::Kind::kFromReflectors;
+  return {to_port(flow::kVantageIxp, net::ports::kMemcached),
+          to_port(flow::kVantageTier2, net::ports::kNtp),
+          to_port(flow::kVantageTier2, net::ports::kDns),
+          to_port(flow::kVantageIxp, net::ports::kDns), control};
+}
+
 class PaperResults : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     internet_ = new sim::Internet(sim::InternetConfig{});
+    const sim::LandscapeConfig config = sim::paper_landscape_config();
+    analysis_ = new core::StreamAnalysis(config.start, config.days,
+                                         paper_specs());
+    analysis_->enable_hourly_victims(flow::kVantageIxp, {});
     exec::ThreadPool pool(4);
     result_ = new sim::LandscapeResult(
-        sim::run_landscape(*internet_, sim::paper_landscape_config(), pool));
+        sim::run_landscape(*internet_, config, pool, nullptr, analysis_));
+    analysis_->finish();
   }
   static void TearDownTestSuite() {
     delete result_;
+    delete analysis_;
     delete internet_;
   }
+  static core::TakedownMetrics metrics(PaperSeries series) {
+    return core::takedown_metrics(analysis_->series(series),
+                                  *result_->config.takedown);
+  }
   static sim::Internet* internet_;
+  static core::StreamAnalysis* analysis_;
   static sim::LandscapeResult* result_;
 };
 
 sim::Internet* PaperResults::internet_ = nullptr;
+core::StreamAnalysis* PaperResults::analysis_ = nullptr;
 sim::LandscapeResult* PaperResults::result_ = nullptr;
 
 TEST_F(PaperResults, NtpPacketMixIsBimodalAroundThePaperSplit) {
@@ -40,59 +84,44 @@ TEST_F(PaperResults, NtpPacketMixIsBimodalAroundThePaperSplit) {
 }
 
 TEST_F(PaperResults, TakedownReducesReflectorBoundTraffic) {
-  const auto& cfg = result_->config;
   struct Expectation {
-    const flow::FlowList* flows;
-    std::uint16_t port;
+    PaperSeries series;
     double red30_max;  // reduction must be at least this strong
   };
   const Expectation expectations[] = {
       // Paper red30: mcache IXP 22.5%, NTP T2 39.68%, DNS T2 81.63%.
-      {&result_->ixp.store.flows(), net::ports::kMemcached, 0.45},
-      {&result_->tier2.store.flows(), net::ports::kNtp, 0.60},
-      {&result_->tier2.store.flows(), net::ports::kDns, 0.92},
+      {kMemcachedIxp, 0.45},
+      {kNtpTier2, 0.60},
+      {kDnsTier2, 0.92},
   };
   for (const auto& expectation : expectations) {
-    const auto metrics = core::takedown_metrics(
-        core::daily_packets_to_port(*expectation.flows, expectation.port,
-                                    cfg.start, cfg.days),
-        *cfg.takedown);
-    EXPECT_TRUE(metrics.wt30.significant) << expectation.port;
-    EXPECT_TRUE(metrics.wt40.significant) << expectation.port;
-    EXPECT_LT(metrics.wt30.reduction, expectation.red30_max)
-        << expectation.port;
+    const auto m = metrics(expectation.series);
+    EXPECT_TRUE(m.wt30.significant) << expectation.series;
+    EXPECT_TRUE(m.wt40.significant) << expectation.series;
+    EXPECT_LT(m.wt30.reduction, expectation.red30_max) << expectation.series;
   }
 }
 
 TEST_F(PaperResults, DnsAtTheIxpShowsNoReduction) {
-  const auto& cfg = result_->config;
-  const auto metrics = core::takedown_metrics(
-      core::daily_packets_to_port(result_->ixp.store.flows(), net::ports::kDns,
-                                  cfg.start, cfg.days),
-      *cfg.takedown);
-  EXPECT_FALSE(metrics.wt30.significant);
-  EXPECT_FALSE(metrics.wt40.significant);
+  const auto m = metrics(kDnsIxp);
+  EXPECT_FALSE(m.wt30.significant);
+  EXPECT_FALSE(m.wt40.significant);
 }
 
 TEST_F(PaperResults, VictimBoundTrafficShowsNoSignificantReduction) {
   // The paper's headline: seizing front-ends does not protect victims.
-  const auto& cfg = result_->config;
-  const auto metrics = core::takedown_metrics(
-      core::daily_packets_from_reflectors(result_->ixp.store.flows(), {},
-                                          cfg.start, cfg.days),
-      *cfg.takedown);
-  EXPECT_FALSE(metrics.wt30.significant);
-  EXPECT_FALSE(metrics.wt40.significant);
-  EXPECT_GT(metrics.wt30.reduction, 0.8);
+  const auto m = metrics(kFromReflectorsIxp);
+  EXPECT_FALSE(m.wt30.significant);
+  EXPECT_FALSE(m.wt40.significant);
+  EXPECT_GT(m.wt30.reduction, 0.8);
 }
 
 TEST_F(PaperResults, AttackedSystemCountUnchanged) {
-  const auto& cfg = result_->config;
-  const auto hourly = core::hourly_attacked_systems(
-      result_->ixp.store.flows(), {}, cfg.start, cfg.days);
-  const auto metrics = core::takedown_metrics_rebinned(hourly, *cfg.takedown);
-  EXPECT_FALSE(metrics.wt30.significant);
-  EXPECT_FALSE(metrics.wt40.significant);
+  const auto m = core::takedown_metrics(
+      analysis_->hourly_victims().rebin(util::Duration::days(1)),
+      *result_->config.takedown);
+  EXPECT_FALSE(m.wt30.significant);
+  EXPECT_FALSE(m.wt40.significant);
 }
 
 TEST_F(PaperResults, VictimPopulationShapeMatchesFig2) {

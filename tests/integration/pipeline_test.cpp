@@ -2,7 +2,6 @@
 // analysis chain, exactly as a deployment of this library would run it.
 #include <gtest/gtest.h>
 
-#include "core/takedown.hpp"
 #include "core/victims.hpp"
 #include "flow/anonymize.hpp"
 #include "flow/collector.hpp"
@@ -12,6 +11,7 @@
 #include "sim/internet.hpp"
 #include "sim/landscape.hpp"
 #include "sim/selfattack.hpp"
+#include "series_reference.hpp"
 
 namespace booterscope {
 namespace {
@@ -106,9 +106,9 @@ TEST(Integration, AnonymizationPreservesTakedownAnalysis) {
       util::SipKey{0xfeed, 0xbeef});
   for (auto& f : anonymized) anonymizer.anonymize(f);
 
-  const auto raw_series = core::daily_packets_to_port(
+  const auto raw_series = scan::daily_packets_to_port(
       result.ixp.store.flows(), net::ports::kNtp, config.start, config.days);
-  const auto anon_series = core::daily_packets_to_port(
+  const auto anon_series = scan::daily_packets_to_port(
       anonymized, net::ports::kNtp, config.start, config.days);
   for (std::size_t d = 0; d < raw_series.bin_count(); ++d) {
     EXPECT_DOUBLE_EQ(raw_series.at(d), anon_series.at(d));

@@ -1,5 +1,6 @@
 // Streaming equivalence suite (DESIGN.md §14): the one-pass analysis must
-// be *byte-identical* to the two-pass scans over a materialized run — same
+// be *byte-identical* to serial scans over a materialized run (the
+// test-only reference in series_reference.hpp) — same
 // flows, same BinnedSeries values, same wtN/redN verdicts — at every pool
 // size and batch capacity, with and without an engaged fault plan. These
 // tests are the contract that lets bench_fig4/bench_fig5 analyze in one
@@ -20,6 +21,7 @@
 #include "sim/landscape_stream.hpp"
 #include "stats/welch.hpp"
 #include "exec/thread_pool.hpp"
+#include "series_reference.hpp"
 
 namespace booterscope {
 namespace {
@@ -149,13 +151,13 @@ TEST(StreamEquivalence, SeriesAndVerdictsAreByteIdenticalToMaterialized) {
 
   // Materialized scan chain (serial: the streaming sink accumulates in
   // delivery order, which equals a serial scan of the collected stores).
-  const auto expected_ntp = core::daily_packets_to_port(
+  const auto expected_ntp = scan::daily_packets_to_port(
       reference_flows(flow::kVantageIxp), net::ports::kNtp, ref.config.start,
       ref.config.days);
-  const auto expected_control = core::daily_packets_from_reflectors(
+  const auto expected_control = scan::daily_packets_from_reflectors(
       reference_flows(flow::kVantageIxp), {}, ref.config.start,
       ref.config.days);
-  const auto expected_victims = core::hourly_attacked_systems(
+  const auto expected_victims = scan::hourly_attacked_systems(
       reference_flows(flow::kVantageIxp), {}, ref.config.start,
       ref.config.days);
 
@@ -213,9 +215,9 @@ TEST(StreamEquivalence, OutageFilteringMatchesTheStoreBoundaryFilter) {
     expected_tally.decoded_clean += flows.size();
     if (v == flow::kVantageIxp) surviving = std::move(flows);
   }
-  auto expected = core::daily_packets_to_port(surviving, net::ports::kNtp,
-                                              ref.config.start,
-                                              ref.config.days);
+  auto expected = scan::daily_packets_to_port(surviving, net::ports::kNtp,
+                                               ref.config.start,
+                                               ref.config.days);
   plan.apply_coverage(expected, flow::kVantageIxp);
 
   // A faulted run is the same bytes at every pool size (DESIGN.md §10).
@@ -247,6 +249,41 @@ TEST(StreamEquivalence, OutageFilteringMatchesTheStoreBoundaryFilter) {
     const auto sm = core::takedown_metrics(streamed, *ref.config.takedown);
     EXPECT_TRUE(windows_equal(em.wt30, sm.wt30));
     EXPECT_TRUE(windows_equal(em.wt40, sm.wt40));
+  }
+}
+
+TEST(StreamEquivalence, RunLandscapeAnalysisTeeMatchesTheStreamAlone) {
+  // run_landscape(..., &analysis) drains one pass into both its collector
+  // and the caller's analysis: the stores must not change, and the series
+  // must equal a stream-only run into the same analysis.
+  const auto& ref = reference();
+  const sim::Internet internet{sim::InternetConfig{}};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    exec::ThreadPool pool(threads);
+    core::StreamAnalysis teed(ref.config.start, ref.config.days,
+                              headline_specs());
+    teed.enable_hourly_victims(flow::kVantageIxp, {});
+    const sim::LandscapeResult result =
+        sim::run_landscape(internet, ref.config, pool, nullptr, &teed);
+    teed.finish();
+    EXPECT_EQ(result.ixp.store.flows(), reference_flows(flow::kVantageIxp));
+    EXPECT_EQ(result.tier1.store.flows(),
+              reference_flows(flow::kVantageTier1));
+    EXPECT_EQ(result.tier2.store.flows(),
+              reference_flows(flow::kVantageTier2));
+    EXPECT_EQ(result.attacks.size(), ref.result.attacks.size());
+
+    core::StreamAnalysis alone(ref.config.start, ref.config.days,
+                               headline_specs());
+    alone.enable_hourly_victims(flow::kVantageIxp, {});
+    (void)sim::run_landscape_stream(internet, ref.config, pool, alone);
+    alone.finish();
+    for (std::size_t i = 0; i < alone.series_count(); ++i) {
+      EXPECT_EQ(teed.series(i).values(), alone.series(i).values()) << i;
+    }
+    EXPECT_EQ(teed.hourly_victims().values(), alone.hourly_victims().values());
+    EXPECT_EQ(teed.total_kept_flows(), alone.total_kept_flows());
   }
 }
 

@@ -5,10 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "core/stream_analysis.hpp"
 #include "core/takedown.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "sim/landscape_detail.hpp"
+#include "sim/landscape_stream.hpp"
 
 namespace booterscope::sim {
 namespace {
@@ -33,21 +35,30 @@ class LandscapeTest : public ::testing::Test {
   static void SetUpTestSuite() {
     internet_ = new Internet(InternetConfig{});
     pool_ = new exec::ThreadPool(4);
-    result_ =
-        new LandscapeResult(run_landscape(*internet_, small_config(), *pool_));
+    const LandscapeConfig config = small_config();
+    core::SeriesSpec ntp;
+    ntp.port = net::ports::kNtp;
+    ntp_ixp_ = new core::StreamAnalysis(config.start, config.days, {ntp});
+    result_ = new LandscapeResult(
+        run_landscape(*internet_, config, *pool_, nullptr, ntp_ixp_));
+    ntp_ixp_->finish();
   }
   static void TearDownTestSuite() {
     delete result_;
+    delete ntp_ixp_;
     delete pool_;
     delete internet_;
   }
   static Internet* internet_;
   static exec::ThreadPool* pool_;
+  /// Daily NTP-to-reflector packets at the IXP, from the fixture's drain.
+  static core::StreamAnalysis* ntp_ixp_;
   static LandscapeResult* result_;
 };
 
 Internet* LandscapeTest::internet_ = nullptr;
 exec::ThreadPool* LandscapeTest::pool_ = nullptr;
+core::StreamAnalysis* LandscapeTest::ntp_ixp_ = nullptr;
 LandscapeResult* LandscapeTest::result_ = nullptr;
 
 TEST_F(LandscapeTest, ProducesTrafficAtAllVantagePoints) {
@@ -123,10 +134,7 @@ TEST_F(LandscapeTest, DemandMigratesInsteadOfDisappearing) {
 
 TEST_F(LandscapeTest, TakedownCutsReflectorBoundNtpTraffic) {
   const Timestamp takedown = *result_->config.takedown;
-  const auto daily = core::daily_packets_to_port(
-      result_->ixp.store.flows(), net::ports::kNtp, result_->config.start,
-      result_->config.days);
-  const auto metrics = core::takedown_metrics(daily, takedown);
+  const auto metrics = core::takedown_metrics(ntp_ixp_->series(0), takedown);
   EXPECT_TRUE(metrics.wt30.significant);
   EXPECT_LT(metrics.wt30.reduction, 0.75);
   EXPECT_GT(metrics.wt30.reduction, 0.1);
@@ -142,10 +150,13 @@ TEST_F(LandscapeTest, VictimBoundTrafficUnaffectedAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     LandscapeConfig config = small_config();
     config.seed = seed;
-    const LandscapeResult result = run_landscape(*internet_, config, *pool_);
-    const auto daily = core::daily_packets_from_reflectors(
-        result.ixp.store.flows(), {}, config.start, config.days);
-    const auto metrics = core::takedown_metrics(daily, *config.takedown);
+    core::SeriesSpec victims;
+    victims.kind = core::SeriesSpec::Kind::kFromReflectors;
+    core::StreamAnalysis analysis(config.start, config.days, {victims});
+    (void)run_landscape_stream(*internet_, config, *pool_, analysis);
+    analysis.finish();
+    const auto metrics =
+        core::takedown_metrics(analysis.series(0), *config.takedown);
     if (metrics.wt30.significant || metrics.wt40.significant) {
       ++significant_seeds;
     }

@@ -95,21 +95,6 @@ TEST(BinnedSeries, CoverageDefaultsToFullWithoutMask) {
   EXPECT_DOUBLE_EQ(series.coverage(2), 0.0);
 }
 
-TEST(BinnedSeries, MergeFromTakesPessimisticCoverage) {
-  BinnedSeries a(day("2018-10-01"), Duration::days(1), 3);
-  BinnedSeries b(day("2018-10-01"), Duration::days(1), 3);
-  a.set(0, 10.0);
-  b.set(0, 5.0);
-  a.set_coverage(1, 0.25);
-  b.set_coverage(2, 0.5);
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.at(0), 15.0);
-  // A bin is only as observed as its least observed contributor.
-  EXPECT_DOUBLE_EQ(a.coverage(0), 1.0);
-  EXPECT_DOUBLE_EQ(a.coverage(1), 0.25);
-  EXPECT_DOUBLE_EQ(a.coverage(2), 0.5);
-}
-
 TEST(BinnedSeries, RebinAveragesCoverage) {
   BinnedSeries hourly(day("2018-10-01"), Duration::hours(1), 48);
   for (std::size_t i = 0; i < 48; ++i) hourly.set(i, 1.0);

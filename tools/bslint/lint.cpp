@@ -41,10 +41,10 @@ const std::vector<RuleInfo> kRules = {
      "route the read through the bounds-checked util::ByteReader/ByteWriter "
      "in util/byteio.hpp"},
     {"BS003", Severity::kError,
-     "`throw` in decoder/chain code contracted to return "
-     "Result<T, DecodeError>",
-     "return util::Result<T>/DecodeError instead of throwing; chains that "
-     "throw are quarantined, not caught"},
+     "`throw` in src/flow, src/pcap or src/exec: decoders return "
+     "Result<T, DecodeError>, and a throw that escapes a pool task ends "
+     "the run",
+     "return util::Result<T>/DecodeError instead of throwing"},
     {"BS004", Severity::kError,
      "range-for over std::unordered_map/unordered_set; iteration order must "
      "never feed serialized or merged output",

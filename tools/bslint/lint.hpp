@@ -23,8 +23,9 @@
 //          and obs/manifest
 //   BS002  raw byte access (memcpy, reinterpret_cast) in decoder dirs
 //          (src/flow, src/pcap) — must go through util/byteio.hpp
-//   BS003  `throw` in decoder/chain code (src/flow, src/pcap, src/exec)
-//          that is contracted to return Result<T, DecodeError>
+//   BS003  `throw` in src/flow, src/pcap or src/exec: decoders return
+//          Result<T, DecodeError>, and a throw that escapes a pool task
+//          ends the run
 //   BS004  range-for over std::unordered_map/unordered_set in src/ —
 //          unordered iteration must not feed serialized or merged output
 //   BS005  naked std::thread/std::jthread outside exec/thread_pool

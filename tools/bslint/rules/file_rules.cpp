@@ -250,8 +250,8 @@ void match_line(std::string_view path, const std::string& line,
     }
   }
   if (bs003_in_scope(path) && std::regex_search(line, kThrow)) {
-    out.push_back({"BS003", "decoder/chain code is contracted to return "
-                            "Result<T, DecodeError>, never to throw"});
+    out.push_back({"BS003", "decoders return Result<T, DecodeError>, and a "
+                            "throw that escapes a pool task ends the run"});
   }
   if (bs004_in_scope(path)) {
     const std::string expr = range_for_expr(line);

@@ -532,35 +532,6 @@ void write_perf_ledger(
     }
     ledger.set_hw_counters(std::move(hw));
   }
-  {
-    // FlowCollector hot-path micro-metrics, harvested from the registry
-    // (the collectors themselves died with the run). Independent of --prof
-    // by design: the before-picture for the five-tuple table rewrite must
-    // exist even where perf_event_open does not. A bench that never ran a
-    // collector (bucket gauge and drain counter both zero) omits the
-    // block — absence of flows is not a measurement of them.
-    obs::MetricsRegistry& registry = obs::metrics();
-    obs::PerfLedger::FlowMicro micro;
-    micro.map_load_factor =
-        registry.gauge("booterscope_flow_map_load_factor").value();
-    micro.map_bucket_count = static_cast<std::uint64_t>(
-        registry.gauge("booterscope_flow_map_bucket_count").value());
-    micro.map_occupied_buckets = static_cast<std::uint64_t>(
-        registry.gauge("booterscope_flow_map_occupied_buckets").value());
-    micro.map_max_bucket_entries = static_cast<std::uint64_t>(
-        registry.gauge("booterscope_flow_map_max_bucket_entries").value());
-    micro.map_rehashes =
-        registry.counter_total("booterscope_flow_map_rehashes_total");
-    micro.drain_batches =
-        registry.counter_total("booterscope_flow_drain_batches_total");
-    micro.drain_rows =
-        registry.counter_total("booterscope_flow_drain_rows_total");
-    micro.drain_capacity_rows =
-        registry.counter_total("booterscope_flow_drain_capacity_rows_total");
-    if (micro.map_bucket_count > 0 || micro.drain_rows > 0) {
-      ledger.set_flow_micro(micro);
-    }
-  }
   ledger.capture_peak_rss();
   const std::string path = "BENCH_" + experiment_id + ".json";
   if (!ledger.write(path)) {

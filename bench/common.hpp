@@ -167,9 +167,7 @@ void write_observability(const std::string& experiment_id,
 /// bottomed out); --prof itself is NOT
 /// recorded as a config key — like --threads, it changes what is measured,
 /// not what is computed, so profiled candidates stay comparable to
-/// unprofiled baselines. The flow_micro block is harvested from the
-/// booterscope_flow_* registry series whenever a collector ran,
-/// independent of profiling.
+/// unprofiled baselines.
 void write_perf_ledger(
     const std::string& experiment_id, const sim::LandscapeConfig& config,
     const obs::StageTracer* tracer, const exec::ThreadPool* pool,

@@ -42,7 +42,7 @@ struct FaultProfile {
   double truncate = 0.0;
   double bitflip = 0.0;
   /// P(a template announcement is withheld from an export packet), for
-  /// exporters that model template resend (v9/IPFIX).
+  /// exporters that model template resend (IPFIX).
   double template_loss = 0.0;
 
   [[nodiscard]] static FaultProfile none() noexcept { return {}; }

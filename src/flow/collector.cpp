@@ -38,18 +38,12 @@ FlowCollector::FlowCollector(CollectorConfig config) : config_(config) {
       &registry.gauge("booterscope_flow_map_occupied_buckets");
   map_max_bucket_entries_metric_ =
       &registry.gauge("booterscope_flow_map_max_bucket_entries");
-  drain_batches_metric_ =
-      &registry.counter("booterscope_flow_drain_batches_total");
-  drain_rows_metric_ = &registry.counter("booterscope_flow_drain_rows_total");
-  drain_capacity_rows_metric_ =
-      &registry.counter("booterscope_flow_drain_capacity_rows_total");
-  drain_batch_fill_metric_ =
-      &registry.gauge("booterscope_flow_drain_batch_fill_ratio");
   last_bucket_count_ = cache_.bucket_count();
 }
 
-void FlowCollector::account_export(const Entry& entry,
-                                   ExportReason reason) noexcept {
+void FlowCollector::export_entry(const Entry& entry, ExportReason reason,
+                                 FlowList& out) {
+  out.push_back(entry.flow);
   const auto index = static_cast<std::size_t>(reason);
   stats_.exported_flows[index] += 1;
   stats_.exported_packets[index] += entry.flow.packets;
@@ -58,21 +52,14 @@ void FlowCollector::account_export(const Entry& entry,
   exported_packets_metric_[index]->add(entry.flow.packets);
 }
 
-void FlowCollector::export_entry(const Entry& entry, ExportReason reason,
-                                 FlowList& out) {
-  out.push_back(entry.flow);
-  account_export(entry, reason);
-}
-
 void FlowCollector::update_cache_gauge() noexcept {
   cache_entries_metric_->set(static_cast<double>(cache_.size()));
   map_load_factor_metric_->set(static_cast<double>(cache_.load_factor()));
 }
 
 void FlowCollector::note_rehash_if_grown() noexcept {
-  // A bucket_count change means the table rehashed — the stall the flat
-  // table rewrite (ROADMAP item 2) is meant to eliminate. One size_t
-  // compare per packet; the branch is taken O(log n) times per run.
+  // A bucket_count change means the table rehashed. One size_t compare per
+  // packet; the branch is taken O(log n) times per run.
   const std::size_t buckets = cache_.bucket_count();
   if (buckets != last_bucket_count_) {
     last_bucket_count_ = buckets;
@@ -80,22 +67,6 @@ void FlowCollector::note_rehash_if_grown() noexcept {
     map_rehashes_metric_->inc();
     map_load_factor_metric_->set(static_cast<double>(cache_.load_factor()));
   }
-}
-
-void FlowCollector::account_drain_batches(std::uint64_t rows,
-                                          std::size_t batch_flows) noexcept {
-  if (rows == 0 || batch_flows == 0) return;
-  const std::uint64_t batches =
-      (rows + batch_flows - 1) / static_cast<std::uint64_t>(batch_flows);
-  const std::uint64_t capacity = batches * batch_flows;
-  drain_batches_ += batches;
-  drain_rows_ += rows;
-  drain_capacity_rows_ += capacity;
-  drain_batches_metric_->add(batches);
-  drain_rows_metric_->add(rows);
-  drain_capacity_rows_metric_->add(capacity);
-  drain_batch_fill_metric_->set(static_cast<double>(rows) /
-                                static_cast<double>(capacity));
 }
 
 void FlowCollector::publish_bucket_shape() noexcept {
@@ -121,9 +92,6 @@ MapStats FlowCollector::map_stats() const {
     if (chain > out.max_bucket_entries) out.max_bucket_entries = chain;
   }
   out.rehashes = rehashes_;
-  out.drain_batches = drain_batches_;
-  out.drain_rows = drain_rows_;
-  out.drain_capacity_rows = drain_capacity_rows_;
   return out;
 }
 
@@ -243,58 +211,6 @@ void FlowCollector::drain(FlowList& out) {
   for (const auto& [key, entry] : remaining) {
     export_entry(*entry, ExportReason::kDrain, out);
   }
-  cache_.clear();
-  update_cache_gauge();
-}
-
-void FlowCollector::expire(util::Timestamp now, FlowBatchSink& sink,
-                           std::size_t vantage, std::size_t batch_flows) {
-  const util::ConcurrencyGuard::Scope scope(guard_,
-                                            "FlowCollector::expire_stream");
-  std::vector<const net::FiveTuple*> expired;
-  // bslint:allow(BS004 collected then sorted by five-tuple below)
-  for (const auto& [key, entry] : cache_) {
-    const FlowRecord& f = entry.flow;
-    if (now - f.last >= config_.inactive_timeout ||
-        now - f.first >= config_.active_timeout) {
-      expired.push_back(&key);
-    }
-  }
-  std::sort(expired.begin(), expired.end(),
-            [](const net::FiveTuple* a, const net::FiveTuple* b) {
-              return *a < *b;
-            });
-  FlowBatcher batcher(sink, vantage, batch_flows);
-  for (const net::FiveTuple* key : expired) {
-    const auto it = cache_.find(*key);
-    const bool inactive = now - it->second.flow.last >= config_.inactive_timeout;
-    batcher.push(it->second.flow);
-    account_export(it->second, inactive ? ExportReason::kInactiveTimeout
-                                        : ExportReason::kActiveTimeout);
-    cache_.erase(it);
-  }
-  batcher.flush();
-  update_cache_gauge();
-}
-
-void FlowCollector::drain(FlowBatchSink& sink, std::size_t vantage,
-                          std::size_t batch_flows) {
-  const util::ConcurrencyGuard::Scope scope(guard_,
-                                            "FlowCollector::drain_stream");
-  publish_bucket_shape();
-  std::vector<std::pair<const net::FiveTuple*, const Entry*>> remaining;
-  remaining.reserve(cache_.size());
-  // bslint:allow(BS004 collected then sorted by five-tuple below)
-  for (const auto& [key, entry] : cache_) remaining.emplace_back(&key, &entry);
-  std::sort(remaining.begin(), remaining.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  FlowBatcher batcher(sink, vantage, batch_flows);
-  for (const auto& [key, entry] : remaining) {
-    batcher.push(entry->flow);
-    account_export(*entry, ExportReason::kDrain);
-  }
-  batcher.flush();
-  account_drain_batches(remaining.size(), batch_flows);
   cache_.clear();
   update_cache_gauge();
 }

@@ -1,4 +1,4 @@
-// Shared knobs of the stateful template decoders (NetFlow v9, IPFIX).
+// Knobs of the stateful IPFIX template decoder.
 #pragma once
 
 #include <cstddef>

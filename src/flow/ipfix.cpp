@@ -353,50 +353,4 @@ util::Result<MessageDecoder::Message> MessageDecoder::decode(
   return result;
 }
 
-util::Result<MessageDecoder::StreamSummary> MessageDecoder::decode_stream(
-    std::span<const std::uint8_t> data, FlowBatchSink& sink,
-    std::size_t batch_flows, util::DecodeDamage* damage) {
-  StreamSummary summary;
-  FlowBatcher batcher(sink, 0, batch_flows);
-  util::DecodeDamage local_damage;
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    const std::span<const std::uint8_t> rest = data.subspan(offset);
-    if (rest.size() < kMessageHeaderBytes) {
-      // Trailing bytes too short for a header: framing damage, not fatal
-      // for the rows already delivered (unless nothing was).
-      if (summary.messages == 0) {
-        batcher.flush();
-        return util::DecodeError::kTruncatedHeader;
-      }
-      local_damage.note(util::DecodeError::kTruncatedHeader);
-      break;
-    }
-    // The message header's explicit length (big-endian, bytes 2..3) frames
-    // the stream; it covers the header itself.
-    const std::size_t declared =
-        (static_cast<std::size_t>(rest[2]) << 8) | rest[3];
-    const std::size_t length =
-        std::min(std::max(declared, kMessageHeaderBytes), rest.size());
-    const auto result = decode(rest.first(length));
-    if (!result.has_value()) {
-      if (summary.messages == 0) {
-        batcher.flush();
-        return result.error();
-      }
-      local_damage.note(result.error());
-      break;
-    }
-    const Message& message = result.value();
-    ++summary.messages;
-    for (const FlowRecord& f : message.records) batcher.push(f);
-    summary.records += message.records.size();
-    local_damage.merge(message.damage);
-    offset += length;
-  }
-  batcher.flush();
-  if (damage != nullptr) damage->merge(local_damage);
-  return summary;
-}
-
 }  // namespace booterscope::flow::ipfix

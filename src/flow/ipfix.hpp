@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flow/batch.hpp"
 #include "flow/decode_options.hpp"
 #include "flow/record.hpp"
 #include "util/result.hpp"
@@ -92,26 +91,8 @@ class MessageDecoder {
     /// Recoverable defects skipped while decoding this message.
     util::DecodeDamage damage;
   };
-  using Result = Message;  // pre-Result-taxonomy name
 
   [[nodiscard]] util::Result<Message> decode(std::span<const std::uint8_t> data);
-
-  /// Totals of one streaming multi-message decode.
-  struct StreamSummary {
-    std::uint64_t messages = 0;  // messages decoded
-    std::uint64_t records = 0;   // rows delivered to the sink
-  };
-
-  /// Decodes a back-to-back sequence of IPFIX messages (framed by each
-  /// header's explicit length field), delivering every record to `sink`
-  /// (vantage 0) as fixed-size columnar batches; only one message is ever
-  /// materialized. Template state carries across messages as usual. A fatal
-  /// first message is a fatal result; later framing damage stops the decode
-  /// with the defect recorded in `damage`.
-  [[nodiscard]] util::Result<StreamSummary> decode_stream(
-      std::span<const std::uint8_t> data, FlowBatchSink& sink,
-      std::size_t batch_flows = FlowBatch::kDefaultCapacity,
-      util::DecodeDamage* damage = nullptr);
 
   [[nodiscard]] std::size_t cached_template_count() const noexcept {
     return templates_.size();

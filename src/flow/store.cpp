@@ -59,41 +59,6 @@ constexpr int kIoAttempts = 3;
   return f;
 }
 
-/// Shared header validation + salvage accounting for both deserializers.
-/// On success, `usable` is the record count bounded by the actual bytes.
-[[nodiscard]] std::optional<util::DecodeError> begin_deserialize(
-    util::ByteReader& r, util::DecodeDamage& local_damage,
-    std::uint64_t& usable) {
-  static obs::Counter& bad_input =
-      obs::metrics().counter("booterscope_store_deserialize_failures_total");
-  if (!r.has(4)) {
-    bad_input.inc();
-    obs::count_decode_failure("store", util::DecodeError::kTruncatedHeader);
-    return util::DecodeError::kTruncatedHeader;
-  }
-  if (r.u32() != kMagic) {
-    bad_input.inc();
-    obs::count_decode_failure("store", util::DecodeError::kBadMagic);
-    return util::DecodeError::kBadMagic;
-  }
-  const std::uint64_t count = r.u64();
-  if (!r.ok()) {
-    bad_input.inc();
-    obs::count_decode_failure("store", util::DecodeError::kTruncatedHeader);
-    return util::DecodeError::kTruncatedHeader;
-  }
-  // The declared count is attacker-controlled 64-bit input: comparing
-  // `remaining() < count * kRecordBytes` can wrap and a reserve(count) on
-  // the raw value is an allocation bomb. fits_records() divides instead,
-  // and a truncated body degrades to salvaging the whole-record prefix.
-  usable = count;
-  if (!r.fits_records(count, kRecordBytes)) {
-    usable = r.max_records(kRecordBytes);
-    local_damage.note(util::DecodeError::kCountMismatch, count - usable);
-  }
-  return std::nullopt;
-}
-
 /// Sleeps the util::Backoff schedule between retries; counted so a run
 /// manifest shows how often storage flaked. The seed is a fixed constant:
 /// store I/O has no run seed in scope, and a stable schedule is exactly
@@ -181,11 +146,34 @@ std::vector<std::uint8_t> serialize_flows(std::span<const FlowRecord> flows) {
 
 util::Result<FlowList> deserialize_flows(std::span<const std::uint8_t> data,
                                          util::DecodeDamage* damage) {
+  static obs::Counter& bad_input =
+      obs::metrics().counter("booterscope_store_deserialize_failures_total");
   util::ByteReader r(data);
+  if (!r.has(4)) {
+    bad_input.inc();
+    obs::count_decode_failure("store", util::DecodeError::kTruncatedHeader);
+    return util::DecodeError::kTruncatedHeader;
+  }
+  if (r.u32() != kMagic) {
+    bad_input.inc();
+    obs::count_decode_failure("store", util::DecodeError::kBadMagic);
+    return util::DecodeError::kBadMagic;
+  }
+  const std::uint64_t count = r.u64();
+  if (!r.ok()) {
+    bad_input.inc();
+    obs::count_decode_failure("store", util::DecodeError::kTruncatedHeader);
+    return util::DecodeError::kTruncatedHeader;
+  }
+  // The declared count is attacker-controlled 64-bit input: comparing
+  // `remaining() < count * kRecordBytes` can wrap and a reserve(count) on
+  // the raw value is an allocation bomb. fits_records() divides instead,
+  // and a truncated body degrades to salvaging the whole-record prefix.
   util::DecodeDamage local_damage;
-  std::uint64_t usable = 0;
-  if (const auto error = begin_deserialize(r, local_damage, usable)) {
-    return *error;
+  std::uint64_t usable = count;
+  if (!r.fits_records(count, kRecordBytes)) {
+    usable = r.max_records(kRecordBytes);
+    local_damage.note(util::DecodeError::kCountMismatch, count - usable);
   }
   FlowList flows;
   flows.reserve(static_cast<std::size_t>(usable));
@@ -205,33 +193,6 @@ util::Result<FlowList> deserialize_flows(std::span<const std::uint8_t> data,
   obs::count_decode_damage("store", local_damage);
   if (damage != nullptr) damage->merge(local_damage);
   return flows;
-}
-
-util::Result<std::uint64_t> deserialize_flows_stream(
-    std::span<const std::uint8_t> data, FlowBatchSink& sink,
-    std::size_t batch_flows, util::DecodeDamage* damage) {
-  util::ByteReader r(data);
-  util::DecodeDamage local_damage;
-  std::uint64_t usable = 0;
-  if (const auto error = begin_deserialize(r, local_damage, usable)) {
-    return *error;
-  }
-  FlowBatcher batcher(sink, 0, batch_flows);
-  for (std::uint64_t i = 0; i < usable; ++i) {
-    const FlowRecord f = parse_record(r);
-    if (!r.ok()) {
-      local_damage.note(util::DecodeError::kTruncatedRecord, usable - i);
-      break;
-    }
-    batcher.push(f);
-  }
-  batcher.flush();
-  obs::metrics()
-      .counter("booterscope_store_deserialized_flows_total")
-      .add(batcher.delivered());
-  obs::count_decode_damage("store", local_damage);
-  if (damage != nullptr) damage->merge(local_damage);
-  return batcher.delivered();
 }
 
 bool write_flow_file(const std::string& path, std::span<const FlowRecord> flows) {
@@ -265,31 +226,6 @@ util::Result<FlowList> read_flow_file(const std::string& path,
     }
     if (std::ferror(file.get()) != 0) continue;  // torn read: retry
     return deserialize_flows(bytes, damage);
-  }
-  obs::metrics().counter("booterscope_store_io_failures_total").inc();
-  obs::count_decode_failure("store", util::DecodeError::kIo);
-  return util::DecodeError::kIo;
-}
-
-util::Result<std::uint64_t> read_flow_file_stream(const std::string& path,
-                                                  FlowBatchSink& sink,
-                                                  std::size_t batch_flows,
-                                                  util::DecodeDamage* damage) {
-  for (int attempt = 0; attempt < kIoAttempts; ++attempt) {
-    if (attempt > 0) backoff(attempt);
-    const FilePtr file{std::fopen(path.c_str(), "rb")};
-    if (!file) {
-      if (errno == ENOENT) break;  // missing file: retrying cannot help
-      continue;
-    }
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[1 << 16];
-    std::size_t read_count = 0;
-    while ((read_count = std::fread(chunk, 1, sizeof chunk, file.get())) > 0) {
-      bytes.insert(bytes.end(), chunk, chunk + read_count);
-    }
-    if (std::ferror(file.get()) != 0) continue;  // torn read: retry
-    return deserialize_flows_stream(bytes, sink, batch_flows, damage);
   }
   obs::metrics().counter("booterscope_store_io_failures_total").inc();
   obs::count_decode_failure("store", util::DecodeError::kIo);

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "flow/batch.hpp"
 #include "flow/record.hpp"
 #include "util/result.hpp"
 
@@ -78,15 +77,6 @@ class FlowStore {
     std::span<const std::uint8_t> data,
     util::DecodeDamage* damage = nullptr);
 
-/// Streaming deserialize: identical hardening and salvage semantics to
-/// deserialize_flows, but records are parsed straight into fixed-size
-/// columnar batches delivered to `sink` (vantage 0) — the whole FlowList is
-/// never resident. Returns the number of records delivered.
-[[nodiscard]] util::Result<std::uint64_t> deserialize_flows_stream(
-    std::span<const std::uint8_t> data, FlowBatchSink& sink,
-    std::size_t batch_flows = FlowBatch::kDefaultCapacity,
-    util::DecodeDamage* damage = nullptr);
-
 /// Writes/reads BSF1 files, retrying transient I/O failures with capped
 /// exponential backoff (retries counted in
 /// booterscope_store_io_retries_total). write returns false when all
@@ -96,12 +86,5 @@ class FlowStore {
                                    std::span<const FlowRecord> flows);
 [[nodiscard]] util::Result<FlowList> read_flow_file(
     const std::string& path, util::DecodeDamage* damage = nullptr);
-
-/// read_flow_file, streaming: the file's records are batched into `sink`
-/// instead of materialized. Same retry/backoff and error reporting.
-[[nodiscard]] util::Result<std::uint64_t> read_flow_file_stream(
-    const std::string& path, FlowBatchSink& sink,
-    std::size_t batch_flows = FlowBatch::kDefaultCapacity,
-    util::DecodeDamage* damage = nullptr);
 
 }  // namespace booterscope::flow

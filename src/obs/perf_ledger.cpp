@@ -198,29 +198,6 @@ std::string PerfLedger::to_json() const {
       out.push_back('}');
     }
   }
-  if (has_flow_micro_) {
-    const FlowMicro& micro = flow_micro_;
-    out += ",\"flow_micro\":{\"map_load_factor\":" +
-           json_number(micro.map_load_factor);
-    out += ",\"map_bucket_count\":" + json_number(micro.map_bucket_count);
-    out += ",\"map_occupied_buckets\":" +
-           json_number(micro.map_occupied_buckets);
-    out += ",\"map_max_bucket_entries\":" +
-           json_number(micro.map_max_bucket_entries);
-    out += ",\"map_rehashes\":" + json_number(micro.map_rehashes);
-    out += ",\"drain_batches\":" + json_number(micro.drain_batches);
-    out += ",\"drain_rows\":" + json_number(micro.drain_rows);
-    out += ",\"drain_capacity_rows\":" +
-           json_number(micro.drain_capacity_rows);
-    // null, not 1.0 or 0.0, when nothing batch-drained: an unmeasured fill
-    // must stay distinguishable from a real one.
-    out += ",\"drain_batch_fill\":" +
-           (micro.drain_capacity_rows > 0
-                ? json_number(static_cast<double>(micro.drain_rows) /
-                              static_cast<double>(micro.drain_capacity_rows))
-                : std::string("null"));
-    out.push_back('}');
-  }
   if (has_resource_series_) {
     const ResourceSeries& series = resource_series_;
     out += ",\"resource_series\":{\"interval_seconds\":" +

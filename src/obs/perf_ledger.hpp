@@ -16,9 +16,7 @@
 // carries the obs::live::ResourceSampler trajectory. Rev 3 over rev 2: the
 // optional `hw_counters` block carries per-stage hardware counters from
 // obs::prof (or an explicit `prof_unavailable` reason — fields a tier did
-// not measure are omitted, never zero-filled), and the optional
-// `flow_micro` block carries FlowCollector hot-path micro-metrics (map
-// load factor, bucket stats, rehashes, drain batch fill).
+// not measure are omitted, never zero-filled).
 #pragma once
 
 #include <cstdint>
@@ -150,29 +148,6 @@ class PerfLedger {
     return has_hw_counters_;
   }
 
-  /// FlowCollector hot-path micro-metrics (the before-picture for the
-  /// five-tuple table rewrite). Bucket-shape numbers describe the most
-  /// recently drained collector; counters aggregate across collectors.
-  /// `drain_batch_fill` serializes as rows/capacity, or null when nothing
-  /// batch-drained (0 capacity is "no measurement", not a perfect fill).
-  struct FlowMicro {
-    double map_load_factor = 0.0;
-    std::uint64_t map_bucket_count = 0;
-    std::uint64_t map_occupied_buckets = 0;
-    std::uint64_t map_max_bucket_entries = 0;
-    std::uint64_t map_rehashes = 0;
-    std::uint64_t drain_batches = 0;
-    std::uint64_t drain_rows = 0;
-    std::uint64_t drain_capacity_rows = 0;
-  };
-  void set_flow_micro(FlowMicro micro) noexcept {
-    flow_micro_ = micro;
-    has_flow_micro_ = true;
-  }
-  [[nodiscard]] bool has_flow_micro() const noexcept {
-    return has_flow_micro_;
-  }
-
   /// Full JSON document (schema booterscope-bench-ledger/3).
   [[nodiscard]] std::string to_json() const;
 
@@ -208,8 +183,6 @@ class PerfLedger {
   bool has_resource_series_ = false;
   HwCounters hw_counters_;
   bool has_hw_counters_ = false;
-  FlowMicro flow_micro_;
-  bool has_flow_micro_ = false;
 };
 
 }  // namespace booterscope::obs

@@ -1,10 +1,8 @@
 // Set-overlap measures for the reflector-overlap analysis (Fig. 1(c)).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <unordered_set>
-#include <vector>
 
 namespace booterscope::stats {
 
@@ -26,37 +24,6 @@ template <typename T>
   const std::size_t inter = intersection_size(a, b);
   const std::size_t uni = a.size() + b.size() - inter;
   return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-/// Overlap coefficient |a ∩ b| / min(|a|, |b|) — the measure behind the
-/// paper's "same reflectors, higher packet rate" VIP observation; it stays
-/// near 1 when one set is a subset of the other even if sizes differ.
-template <typename T>
-[[nodiscard]] double overlap_coefficient(const std::unordered_set<T>& a,
-                                         const std::unordered_set<T>& b) {
-  const std::size_t denom = std::min(a.size(), b.size());
-  if (denom == 0) return 0.0;
-  return static_cast<double>(intersection_size(a, b)) /
-         static_cast<double>(denom);
-}
-
-/// Pairwise overlap matrix (symmetric, diagonal 1 for non-empty sets).
-template <typename T>
-[[nodiscard]] std::vector<std::vector<double>> overlap_matrix(
-    const std::vector<std::unordered_set<T>>& sets,
-    double (*measure)(const std::unordered_set<T>&,
-                      const std::unordered_set<T>&) = &jaccard<T>) {
-  const std::size_t n = sets.size();
-  std::vector<std::vector<double>> matrix(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    matrix[i][i] = sets[i].empty() ? 0.0 : 1.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double value = measure(sets[i], sets[j]);
-      matrix[i][j] = value;
-      matrix[j][i] = value;
-    }
-  }
-  return matrix;
 }
 
 }  // namespace booterscope::stats

@@ -175,58 +175,6 @@ TEST(FlowCollector, ExpireExportsInKeyOrder) {
   }
 }
 
-TEST(FlowCollector, BatchedDrainMatchesMaterializedDrain) {
-  const Timestamp t0 = Timestamp::parse("2018-12-01").value();
-  // Two identically-fed collectors: one drains into a FlowList, the other
-  // into a batch sink with a capacity that forces a partial final batch.
-  FlowCollector materialized(config());
-  FlowCollector streamed(config());
-  for (int i = 0; i < 50; ++i) {
-    FlowList out;
-    const PacketObservation p =
-        packet(t0 + Duration::seconds(i), static_cast<std::uint16_t>(i % 7));
-    materialized.observe(p, out);
-    FlowList ignored;
-    streamed.observe(p, ignored);
-    EXPECT_EQ(out, ignored);
-  }
-
-  FlowList expected;
-  materialized.drain(expected);
-  ASSERT_FALSE(expected.empty());
-
-  CollectingSink sink;
-  streamed.drain(sink, kVantageTier2, 3);
-  EXPECT_EQ(sink.flows(kVantageTier2), expected);
-  EXPECT_EQ(streamed.exported_flows(), materialized.exported_flows());
-  EXPECT_EQ(streamed.stats().observed_packets,
-            streamed.stats().total_exported_packets() +
-                streamed.stats().cached_packets);
-}
-
-TEST(FlowCollector, BatchedExpireMatchesMaterializedExpire) {
-  const Timestamp t0 = Timestamp::parse("2018-12-01").value();
-  FlowCollector materialized(config());
-  FlowCollector streamed(config());
-  for (int i = 0; i < 20; ++i) {
-    FlowList out;
-    const PacketObservation p =
-        packet(t0 + Duration::millis(i), static_cast<std::uint16_t>(i % 5));
-    materialized.observe(p, out);
-    streamed.observe(p, out);
-  }
-
-  const Timestamp later = t0 + Duration::hours(1);
-  FlowList expected;
-  materialized.expire(later, expected);
-  ASSERT_FALSE(expected.empty());
-
-  CollectingSink sink;
-  streamed.expire(later, sink, kVantageIxp, 4);
-  EXPECT_EQ(sink.flows(kVantageIxp), expected);
-  EXPECT_EQ(streamed.active_flows(), materialized.active_flows());
-}
-
 TEST(FlowCollector, MapStatsDescribeTheCacheShape) {
   FlowCollector collector(config());
   const Timestamp t0 = Timestamp::parse("2018-12-01").value();
@@ -247,37 +195,15 @@ TEST(FlowCollector, MapStatsDescribeTheCacheShape) {
   // 100 distinct tuples force the default-constructed table to grow at
   // least once; the counter proves the hot path noticed.
   EXPECT_GE(stats.rehashes, 1u);
-  // Nothing drained yet: the fill numbers must read unmeasured, not full.
-  EXPECT_EQ(stats.drain_batches, 0u);
-  EXPECT_EQ(stats.drain_rows, 0u);
-  EXPECT_EQ(stats.drain_capacity_rows, 0u);
-}
-
-TEST(FlowCollector, DrainBatchFillAccountsPartialFinalBatch) {
-  FlowCollector collector(config());
-  const Timestamp t0 = Timestamp::parse("2018-12-01").value();
-  FlowList out;
-  for (int i = 0; i < 10; ++i) {
-    collector.observe(packet(t0, static_cast<std::uint16_t>(i)), out);
-  }
-  CollectingSink sink;
-  collector.drain(sink, kVantageIxp, 4);  // 10 rows, capacity 4
-  const MapStats stats = collector.map_stats();
-  // 10 rows at batch capacity 4: three batches (4+4+2) with room for 12.
-  EXPECT_EQ(stats.drain_batches, 3u);
-  EXPECT_EQ(stats.drain_rows, 10u);
-  EXPECT_EQ(stats.drain_capacity_rows, 12u);
 }
 
 TEST(FlowCollector, MicroMetricsReachTheRegistry) {
-  // Satellite contract: the booterscope_flow_* series exist independently
-  // of --prof — any collector-running process exports them. Counters are
-  // global (shared across collector instances), so assert deltas.
+  // The booterscope_flow_map_* series exist independently of --prof — any
+  // collector-running process exports them. Counters are global (shared
+  // across collector instances), so assert deltas.
   obs::MetricsRegistry& registry = obs::metrics();
   const std::uint64_t rehashes_before =
       registry.counter_total("booterscope_flow_map_rehashes_total");
-  const std::uint64_t rows_before =
-      registry.counter_total("booterscope_flow_drain_rows_total");
 
   FlowCollector collector(config());
   const Timestamp t0 = Timestamp::parse("2018-12-01").value();
@@ -285,19 +211,23 @@ TEST(FlowCollector, MicroMetricsReachTheRegistry) {
   for (int i = 0; i < 200; ++i) {
     collector.observe(packet(t0, static_cast<std::uint16_t>(i)), out);
   }
-  CollectingSink sink;
-  collector.drain(sink, kVantageIxp, 64);
+  collector.drain(out);
+  ASSERT_EQ(out.size(), 200u);
 
   EXPECT_GT(registry.counter_total("booterscope_flow_map_rehashes_total"),
             rehashes_before);
-  EXPECT_EQ(registry.counter_total("booterscope_flow_drain_rows_total"),
-            rows_before + 200);
   // drain() published the end-of-measurement bucket shape of this cache.
-  EXPECT_GT(registry.gauge("booterscope_flow_map_bucket_count").value(), 0.0);
-  // 200 rows / capacity 256 (4 batches of 64): the fill gauge carries the
-  // last drain's ratio.
-  EXPECT_NEAR(registry.gauge("booterscope_flow_drain_batch_fill_ratio").value(),
-              200.0 / 256.0, 1e-9);
+  const double buckets =
+      registry.gauge("booterscope_flow_map_bucket_count").value();
+  const double occupied =
+      registry.gauge("booterscope_flow_map_occupied_buckets").value();
+  EXPECT_GT(buckets, 0.0);
+  EXPECT_GT(occupied, 0.0);
+  EXPECT_LE(occupied, buckets);
+  EXPECT_GE(registry.gauge("booterscope_flow_map_max_bucket_entries").value(),
+            1.0);
+  // The cache is empty after the drain, and the load-factor gauge says so.
+  EXPECT_EQ(registry.gauge("booterscope_flow_map_load_factor").value(), 0.0);
 }
 
 }  // namespace

@@ -175,68 +175,5 @@ TEST(NetflowV5Exporter, EmitsFullPdusAndTracksSequence) {
   EXPECT_FALSE(exporter.flush(config.boot_time).has_value());
 }
 
-TEST(NetflowV5, StreamDecodeMatchesPerPduDecode) {
-  const auto config = test_config();
-  util::Rng rng(21);
-  // Three back-to-back PDUs of different sizes (a capture of an export
-  // stream), including a max-size one so PDU framing is exercised.
-  std::vector<std::uint8_t> capture;
-  FlowList expected;
-  for (const int count : {30, 7, 12}) {
-    FlowList flows;
-    for (int i = 0; i < count; ++i) {
-      flows.push_back(make_flow(rng, config.boot_time));
-    }
-    const auto pdu = encode_netflow_v5(flows, config, 0, config.boot_time);
-    capture.insert(capture.end(), pdu.begin(), pdu.end());
-    const auto decoded = decode_netflow_v5(pdu, config.boot_time);
-    ASSERT_TRUE(decoded.has_value());
-    expected.insert(expected.end(), decoded->records.begin(),
-                    decoded->records.end());
-  }
-
-  CollectingSink sink;
-  const auto summary =
-      decode_netflow_v5_stream(capture, config.boot_time, sink, 8);
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->packets, 3u);
-  EXPECT_EQ(summary->records, expected.size());
-  EXPECT_EQ(sink.flows(0), expected);
-}
-
-TEST(NetflowV5, StreamDecodeStopsAtDamagedPdu) {
-  const auto config = test_config();
-  util::Rng rng(22);
-  FlowList flows = {make_flow(rng, config.boot_time),
-                    make_flow(rng, config.boot_time)};
-  const auto first = encode_netflow_v5(flows, config, 0, config.boot_time);
-  auto second = encode_netflow_v5(flows, config, 2, config.boot_time);
-  second.resize(second.size() - 10);  // cuts into its last record
-
-  std::vector<std::uint8_t> capture(first);
-  capture.insert(capture.end(), second.begin(), second.end());
-  util::DecodeDamage damage;
-  CollectingSink sink;
-  const auto summary =
-      decode_netflow_v5_stream(capture, config.boot_time, sink, 8, &damage);
-  ASSERT_TRUE(summary.has_value());
-  // The damaged PDU loses downstream framing: its salvaged prefix is
-  // delivered, then the decode stops with the defect recorded.
-  EXPECT_EQ(summary->packets, 2u);
-  EXPECT_EQ(summary->records, 3u);
-  EXPECT_EQ(sink.flows(0).size(), 3u);
-  EXPECT_EQ(damage.count(util::DecodeError::kCountMismatch), 1u);
-}
-
-TEST(NetflowV5, StreamDecodeRejectsFatalFirstHeader) {
-  const auto config = test_config();
-  auto pdu = encode_netflow_v5({}, config, 0, config.boot_time);
-  pdu[1] = 9;  // wrong version
-  CollectingSink sink;
-  const auto summary = decode_netflow_v5_stream(pdu, config.boot_time, sink);
-  ASSERT_FALSE(summary.has_value());
-  EXPECT_TRUE(sink.flows(0).empty());
-}
-
 }  // namespace
 }  // namespace booterscope::flow

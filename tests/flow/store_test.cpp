@@ -142,69 +142,6 @@ TEST(FlowStore, ScaledTotals) {
   EXPECT_DOUBLE_EQ(store.total_scaled_bytes(), 60'000.0);
 }
 
-TEST(FlowStore, StreamingDeserializeMatchesMaterialized) {
-  util::Rng rng(11);
-  FlowList flows;
-  for (int i = 0; i < 300; ++i) flows.push_back(make_flow(rng));
-  const auto bytes = serialize_flows(flows);
-
-  // A batch size that does not divide the record count, so the final
-  // delivery is a partial batch.
-  CollectingSink sink;
-  const auto count = deserialize_flows_stream(bytes, sink, 64);
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(*count, flows.size());
-  EXPECT_EQ(sink.flows(0), flows);
-}
-
-TEST(FlowStore, StreamingDeserializeSalvagesTruncationLikeMaterialized) {
-  util::Rng rng(12);
-  FlowList flows;
-  for (int i = 0; i < 5; ++i) flows.push_back(make_flow(rng));
-  auto bytes = serialize_flows(flows);
-  bytes.resize(bytes.size() - 1);  // cuts one byte off the last record
-
-  util::DecodeDamage materialized_damage;
-  const auto materialized = deserialize_flows(bytes, &materialized_damage);
-  ASSERT_TRUE(materialized.has_value());
-
-  util::DecodeDamage streamed_damage;
-  CollectingSink sink;
-  const auto count = deserialize_flows_stream(bytes, sink, 2, &streamed_damage);
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(*count, materialized->size());
-  EXPECT_EQ(sink.flows(0), *materialized);
-  EXPECT_EQ(streamed_damage.records_skipped,
-            materialized_damage.records_skipped);
-  EXPECT_EQ(streamed_damage.count(util::DecodeError::kCountMismatch),
-            materialized_damage.count(util::DecodeError::kCountMismatch));
-}
-
-TEST(FlowStore, StreamingDeserializeRejectsBadMagic) {
-  util::Rng rng(13);
-  auto bytes = serialize_flows(FlowList{make_flow(rng)});
-  bytes[0] ^= 0xff;
-  CollectingSink sink;
-  const auto count = deserialize_flows_stream(bytes, sink);
-  ASSERT_FALSE(count.has_value());
-  EXPECT_EQ(count.error(), util::DecodeError::kBadMagic);
-  EXPECT_TRUE(sink.flows(0).empty());
-}
-
-TEST(FlowStore, StreamingFileReadMatchesMaterializedRead) {
-  util::Rng rng(14);
-  FlowList flows;
-  for (int i = 0; i < 50; ++i) flows.push_back(make_flow(rng));
-  const std::string path = "/tmp/booterscope_store_stream_test.bsf";
-  ASSERT_TRUE(write_flow_file(path, flows));
-  CollectingSink sink;
-  const auto count = read_flow_file_stream(path, sink, 16);
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(*count, flows.size());
-  EXPECT_EQ(sink.flows(0), flows);
-  std::remove(path.c_str());
-}
-
 TEST(CollectingSink, GrowsGeometricallyAcrossBatches) {
   // A materialized landscape run delivers thousands of small batches per
   // vantage; growing the list to exactly size + batch on every consume

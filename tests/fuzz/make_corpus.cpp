@@ -15,7 +15,6 @@
 
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
-#include "flow/netflow_v9.hpp"
 #include "flow/store.hpp"
 #include "pcap/pcap_file.hpp"
 #include "util/rng.hpp"
@@ -91,26 +90,6 @@ int main(int argc, char** argv) {
     auto overclaim = one;
     overclaim[3] = 30;  // header claims 30 records, one on the wire
     write_seed(root / "fuzz_netflow_v5", "count_overclaim.bin", overclaim);
-  }
-
-  {
-    flow::v9::ExportConfig config;
-    config.boot_time = kBoot;
-    config.source_id = 5;
-    const auto valid = flow::v9::encode_v9(sample_flows(6, 3), config, 1,
-                                           kBoot + Duration::hours(1));
-    write_seed(root / "fuzz_netflow_v9", "template_and_data.bin", valid);
-    write_seed(root / "fuzz_netflow_v9", "truncated.bin", truncated(valid, 9));
-    // Data flowset without its template: the unknown-template skip path.
-    const std::size_t template_length =
-        (static_cast<std::size_t>(valid[22]) << 8) | valid[23];
-    std::vector<std::uint8_t> data_only(valid.begin(),
-                                        valid.begin() + flow::v9::kHeaderBytes);
-    data_only.insert(data_only.end(),
-                     valid.begin() + static_cast<std::ptrdiff_t>(
-                                         flow::v9::kHeaderBytes + template_length),
-                     valid.end());
-    write_seed(root / "fuzz_netflow_v9", "data_without_template.bin", data_only);
   }
 
   {

@@ -2,8 +2,7 @@
 // tools/benchdiff parses on the other side — headline numbers, per-stage
 // self/total breakdown, pool utilization, nullable peak RSS, the live
 // sampler's resource_series block (schema /2), and the schema-/3
-// hw_counters / flow_micro / work blocks with their tier-gated field
-// emission.
+// hw_counters / work blocks with their tier-gated field emission.
 #include "obs/perf_ledger.hpp"
 
 #include <gtest/gtest.h>
@@ -295,43 +294,6 @@ TEST(PerfLedger, NoHwCountersBlockWhenNeverSet) {
   PerfLedger ledger("bench_unit");
   EXPECT_FALSE(ledger.has_hw_counters());
   EXPECT_EQ(ledger.to_json().find("hw_counters"), std::string::npos);
-}
-
-TEST(PerfLedger, FlowMicroSerializesFillRatioOrNull) {
-  PerfLedger ledger("bench_unit");
-  PerfLedger::FlowMicro micro;
-  micro.map_load_factor = 0.75;
-  micro.map_bucket_count = 64;
-  micro.map_occupied_buckets = 40;
-  micro.map_max_bucket_entries = 3;
-  micro.map_rehashes = 2;
-  micro.drain_batches = 3;
-  micro.drain_rows = 10;
-  micro.drain_capacity_rows = 12;
-  ledger.set_flow_micro(micro);
-  ASSERT_TRUE(ledger.has_flow_micro());
-
-  std::string json = ledger.to_json();
-  EXPECT_NE(json.find("\"flow_micro\":{\"map_load_factor\":0.75"),
-            std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"map_rehashes\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"drain_batch_fill\":0.8333333333333334"),
-            std::string::npos)
-      << json;
-
-  // Nothing batch-drained: fill is null (unmeasured), never 0.0 or 1.0.
-  PerfLedger empty_drain("bench_unit");
-  micro.drain_batches = 0;
-  micro.drain_rows = 0;
-  micro.drain_capacity_rows = 0;
-  empty_drain.set_flow_micro(micro);
-  json = empty_drain.to_json();
-  EXPECT_NE(json.find("\"drain_batch_fill\":null"), std::string::npos) << json;
-
-  PerfLedger bare("bench_unit");
-  EXPECT_FALSE(bare.has_flow_micro());
-  EXPECT_EQ(bare.to_json().find("flow_micro"), std::string::npos);
 }
 
 TEST(PerfLedger, WriteRoundTripsToDisk) {

@@ -7,7 +7,6 @@
 #include "flow/anonymize.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
-#include "flow/netflow_v9.hpp"
 #include "flow/sampler.hpp"
 #include "flow/store.hpp"
 #include "sim/internet.hpp"
@@ -41,7 +40,8 @@ flow::FlowRecord random_flow(util::Rng& rng) {
 
 // ---------------------------------------------------------------- codecs
 
-enum class Codec { kNetflowV5, kNetflowV9, kIpfix, kBsf };
+// Each value seeds its cases' flows; keep the values stable.
+enum class Codec { kNetflowV5 = 0, kIpfix = 2, kBsf = 3 };
 
 struct CodecCase {
   Codec codec;
@@ -71,15 +71,6 @@ TEST_P(CodecRoundTrip, PreservesSupportedFields) {
       ASSERT_TRUE(packet.has_value());
       decoded = packet->records;
       asn_full_width = false;  // v5 truncates ASNs to 16 bits
-      break;
-    }
-    case Codec::kNetflowV9: {
-      const flow::v9::ExportConfig config{boot, 1, 1000};
-      const auto pdu = flow::v9::encode_v9(flows, config, 0, now);
-      flow::v9::Decoder decoder(boot, 1000);
-      const auto packet = decoder.decode(pdu);
-      ASSERT_TRUE(packet.has_value());
-      decoded = packet->records;
       break;
     }
     case Codec::kIpfix: {
@@ -125,19 +116,16 @@ TEST_P(CodecRoundTrip, PreservesSupportedFields) {
 
 std::string codec_case_name(
     const ::testing::TestParamInfo<CodecCase>& param_info) {
-  static constexpr const char* kNames[] = {"NetflowV5", "NetflowV9", "Ipfix",
-                                           "Bsf"};
-  return std::string(kNames[static_cast<int>(param_info.param.codec)]) + "_" +
-         std::to_string(param_info.param.records);
+  const char* name = "Bsf";
+  if (param_info.param.codec == Codec::kNetflowV5) name = "NetflowV5";
+  if (param_info.param.codec == Codec::kIpfix) name = "Ipfix";
+  return std::string(name) + "_" + std::to_string(param_info.param.records);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsAndSizes, CodecRoundTrip,
     ::testing::Values(CodecCase{Codec::kNetflowV5, 1},
                       CodecCase{Codec::kNetflowV5, 30},
-                      CodecCase{Codec::kNetflowV9, 1},
-                      CodecCase{Codec::kNetflowV9, 17},
-                      CodecCase{Codec::kNetflowV9, 200},
                       CodecCase{Codec::kIpfix, 1},
                       CodecCase{Codec::kIpfix, 64},
                       CodecCase{Codec::kIpfix, 500},

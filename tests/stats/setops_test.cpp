@@ -25,30 +25,5 @@ TEST(SetOps, Jaccard) {
   EXPECT_DOUBLE_EQ(jaccard(Set{}, Set{}), 0.0);
 }
 
-TEST(SetOps, OverlapCoefficientSubsets) {
-  // A subset keeps coefficient 1 regardless of the size difference.
-  EXPECT_DOUBLE_EQ(overlap_coefficient(Set{1, 2}, Set{1, 2, 3, 4, 5}), 1.0);
-  EXPECT_DOUBLE_EQ(overlap_coefficient(Set{1, 2, 3, 4}, Set{3, 4, 5, 6}), 0.5);
-  EXPECT_DOUBLE_EQ(overlap_coefficient(Set{}, Set{1}), 0.0);
-}
-
-TEST(SetOps, OverlapMatrixSymmetric) {
-  const std::vector<Set> sets = {Set{1, 2, 3}, Set{2, 3, 4}, Set{9}};
-  const auto matrix = overlap_matrix(sets);
-  ASSERT_EQ(matrix.size(), 3u);
-  EXPECT_DOUBLE_EQ(matrix[0][0], 1.0);
-  EXPECT_DOUBLE_EQ(matrix[0][1], 0.5);
-  EXPECT_DOUBLE_EQ(matrix[1][0], 0.5);
-  EXPECT_DOUBLE_EQ(matrix[0][2], 0.0);
-  EXPECT_DOUBLE_EQ(matrix[2][2], 1.0);
-}
-
-TEST(SetOps, OverlapMatrixEmptySetDiagonal) {
-  const std::vector<Set> sets = {Set{}, Set{1}};
-  const auto matrix = overlap_matrix(sets);
-  EXPECT_DOUBLE_EQ(matrix[0][0], 0.0);
-  EXPECT_DOUBLE_EQ(matrix[1][1], 1.0);
-}
-
 }  // namespace
 }  // namespace booterscope::stats

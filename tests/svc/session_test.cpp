@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flow/batch.hpp"
 #include "flow/ipfix.hpp"
 #include "flow/netflow_v5.hpp"
 #include "flow/record.hpp"

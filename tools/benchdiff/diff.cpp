@@ -16,9 +16,8 @@ namespace {
 
 // /1 ledgers predate the live telemetry plane: no resource_series, RSS
 // always a number. /2 adds the optional series and nullable RSS. /3 adds
-// the optional hw_counters block (obs::prof) and flow_micro. All three
-// stay accepted so committed older baselines keep gating until
-// regenerated.
+// the optional hw_counters block (obs::prof). All three stay accepted so
+// committed older baselines keep gating until regenerated.
 constexpr std::string_view kSchemaV1 = "booterscope-bench-ledger/1";
 constexpr std::string_view kSchemaV2 = "booterscope-bench-ledger/2";
 constexpr std::string_view kSchemaV3 = "booterscope-bench-ledger/3";
